@@ -13,7 +13,6 @@ FFT convolutions on offset grids.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,7 +23,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .geometry import Direction, Site, ccw_key, cross, line_index, sort_directions
-from .lattice import Box, Window, closure
+from .lattice import Box, HalfPlane, Window, closure
 
 
 class UnboundedDropletError(ValueError):
@@ -267,36 +266,54 @@ def disc_offsets(kappa: float) -> list[Site]:
             if dx * dx + dy * dy <= k2]
 
 
+def _kappa_index(sites: Iterable[Site], kappa: float) -> tuple[dict, int, float]:
+    """Bucket grid over ``sites`` for the graph joining sites within
+    Euclidean distance kappa: (buckets, cell side, squared radius)."""
+    cell = max(1, int(math.floor(kappa + 1e-9)))
+    buckets: dict[tuple[int, int], list[Site]] = {}
+    for s in sites:
+        buckets.setdefault((s[0] // cell, s[1] // cell), []).append(s)
+    return buckets, cell, kappa * kappa + 1e-9
+
+
+def _kappa_bfs(start: Site, index, limit: Optional[int] = None) -> list[Site]:
+    """Indexed sites reachable from ``start`` in the kappa graph, in
+    breadth-first order; each site's new neighbours join the queue sorted.
+    With ``limit`` the search stops expanding once that many sites are
+    found."""
+    buckets, cell, kap2 = index
+    order = [start]
+    seen = {start}
+    for sx, sy in order:
+        if limit is not None and len(order) >= limit:
+            break
+        bx, by = sx // cell, sy // cell
+        new = []
+        for gx in range(bx - 2, bx + 3):
+            for gy in range(by - 2, by + 3):
+                for t in buckets.get((gx, gy), ()):
+                    if t not in seen:
+                        dx, dy = sx - t[0], sy - t[1]
+                        if dx * dx + dy * dy <= kap2:
+                            seen.add(t)
+                            new.append(t)
+        new.sort()
+        order.extend(new)
+    return order
+
+
 def strongly_connected_components(sites: Iterable[Site], kappa: float) -> list[frozenset]:
     """Components of the graph joining sites within Euclidean distance kappa,
     listed in lexicographic order of their minimal site."""
     pts = set(sites)
-    kap2 = kappa * kappa + 1e-9
-    cell = max(1, int(math.floor(kappa + 1e-9)))
-    buckets: dict[tuple[int, int], list[Site]] = {}
-    for s in pts:
-        buckets.setdefault((s[0] // cell, s[1] // cell), []).append(s)
+    index = _kappa_index(pts, kappa)
     seen: set[Site] = set()
     comps = []
     for start in sorted(pts):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            s = queue.popleft()
-            comp.append(s)
-            bx, by = s[0] // cell, s[1] // cell
-            for gx in range(bx - 2, bx + 3):
-                for gy in range(by - 2, by + 3):
-                    for t in buckets.get((gx, gy), ()):
-                        if t not in seen:
-                            dx, dy = s[0] - t[0], s[1] - t[1]
-                            if dx * dx + dy * dy <= kap2:
-                                seen.add(t)
-                                queue.append(t)
-        comps.append(frozenset(comp))
+        if start not in seen:
+            comp = frozenset(_kappa_bfs(start, index))
+            seen |= comp
+            comps.append(comp)
     return comps
 
 
@@ -318,46 +335,20 @@ def alpha_clusters(K: Iterable[Site], alpha: int, kappa: float) -> tuple[list[fr
     if alpha < 1:
         raise ValueError("alpha must be positive")
     remaining = set(K)
-    kap2 = kappa * kappa + 1e-9
-    cell = max(1, int(math.floor(kappa + 1e-9)))
+    index = _kappa_index(remaining, kappa)
+    buckets, cell, _ = index
     clusters: list[frozenset] = []
-
-    def bfs_prefix(seed):
-        buckets: dict[tuple[int, int], list[Site]] = {}
-        for s in remaining:
-            buckets.setdefault((s[0] // cell, s[1] // cell), []).append(s)
-        found = []
-        queue = deque([seed])
-        visited = {seed}
-        while queue and len(found) < alpha:
-            s = queue.popleft()
-            found.append(s)
-            bx, by = s[0] // cell, s[1] // cell
-            neigh = []
-            for gx in range(bx - 2, bx + 3):
-                for gy in range(by - 2, by + 3):
-                    for t in buckets.get((gx, gy), ()):
-                        if t not in visited:
-                            dx, dy = s[0] - t[0], s[1] - t[1]
-                            if dx * dx + dy * dy <= kap2:
-                                neigh.append(t)
-            for t in sorted(neigh):
-                visited.add(t)
-                queue.append(t)
-        return found
-
-    extracted = True
-    while extracted:
-        extracted = False
-        for seed in sorted(remaining):
-            if seed not in remaining:
-                continue
-            prefix = bfs_prefix(seed)
+    # one pass is maximal: removing a cluster only shrinks the components of
+    # the seeds that failed before it
+    for seed in sorted(remaining):
+        if seed in remaining:
+            prefix = _kappa_bfs(seed, index, limit=alpha)
             if len(prefix) >= alpha:
                 cl = frozenset(prefix[:alpha])
                 clusters.append(cl)
                 remaining -= cl
-                extracted = True
+                for s in cl:
+                    buckets[s[0] // cell, s[1] // cell].remove(s)
     return clusters, frozenset(remaining)
 
 
@@ -556,7 +547,7 @@ def is_internally_filled(X: Iterable[Site], A: Iterable[Site], U) -> bool:
     xs = [s[0] for s in X]
     ys = [s[1] for s in X]
     w = Window(Box(min(xs), min(ys), max(xs) + 1, max(ys) + 1))
-    got = closure(seeds, w, U, region=lambda s: s in X)
+    got = closure(seeds, w, U, region=X)
     return X <= got
 
 
@@ -574,6 +565,36 @@ def is_internally_spanned(D: Droplet, A: Iterable[Site], U, kappa: float) -> boo
         if minimal_droplet(comp, D.directions) == D:
             return True
     return False
+
+
+def is_u_crossed(u: Direction, strip, A: Iterable[Site], U, kappa: float) -> bool:
+    """Whether [H_u(x) ∪ (S ∩ A)], computed inside the strip plus a collar,
+    contains a strongly connected set joining the half-plane below the
+    (-u)-side to the u-side of the strip.
+
+    ``strip`` is any droplet-like object exposing sites() and the direction
+    list; x is taken on the (-u)-side, so the assisting half-plane is
+    {y : line_index(y, u) < min index over the strip}.
+    """
+    sites = set(strip.sites())
+    if not sites:
+        return False
+    offset = min(line_index(s, u) for s in sites)
+    top = max(line_index(s, u) for s in sites)
+    face = {s for s in sites if line_index(s, u) == top}
+
+    reach = int(math.ceil(max(math.hypot(dx, dy) for rule in U.rules for dx, dy in rule)))
+    region = {(sx + dx, sy + dy) for sx, sy in sites
+              for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)
+              if line_index((sx + dx, sy + dy), u) >= offset}
+    xs = [s[0] for s in region]
+    ys = [s[1] for s in region]
+    w = Window(Box(min(xs), min(ys), max(xs) + 1, max(ys) + 1), HalfPlane(u, offset))
+    closed = closure(set(A) & sites, w, U, region=region)
+
+    near = offset + _halfplane_distance_table(u, kappa)
+    return any(comp & face and any(line_index(s, u) <= near for s in comp)
+               for comp in strongly_connected_components(closed, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -631,35 +652,8 @@ def smallest_iceberg(X: Iterable[Site], u: Direction, u0: Direction,
 @lru_cache(maxsize=None)
 def _halfplane_distance_table(u: Direction, kappa: float) -> int:
     """Largest line index j such that a site on line j is within kappa of the
-    half-plane {line_index < 0}; exact over a Chebyshev search ball."""
-    kap2 = kappa * kappa + 1e-9
-    # representative site on line j via the extended euclid pair
-    g, px, py = _bezout(u.a, u.b)
-    best = -1
-    j = 0
-    while True:
-        rep = (px * j, py * j)
-        k = int(math.floor(kappa + 1e-9)) + 1
-        near = any(
-            u.a * (rep[0] + dx) + u.b * (rep[1] + dy) < 0 and dx * dx + dy * dy <= kap2
-            for dx in range(-k, k + 1) for dy in range(-k, k + 1)
-        )
-        if not near:
-            return best
-        best = j
-        j += 1
-
-
-def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    half-plane {line_index < 0}: one below the deepest reach of the disc."""
+    return -min(u.dot(d) for d in disc_offsets(kappa)) - 1
 
 
 @dataclass

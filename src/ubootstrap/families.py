@@ -1,15 +1,16 @@
 """Bundled rule corpus and the JSON rule-file format.
 
 A rule file is {"name": str, "rules": [[[x, y], ...], ...]} with integer
-coordinates, plus optional free-form metadata (the bundled files record the
-expected classification for regression).  The writer is canonical: sorted
-rules, sorted sites, fixed separators, so files round-trip bit-exactly.
+coordinates, plus optional free-form metadata (the corpus records the
+expected classification for regression).  The corpus lives in
+``BUILTIN_RULES`` and ``BUILTIN_METADATA``; ``write_corpus`` writes it out as
+rule files.  The writer is canonical: sorted rules, sorted sites, fixed
+separators, so files round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
-from importlib import resources
 from itertools import combinations
 from pathlib import Path
 from typing import Optional
@@ -114,11 +115,8 @@ def builtin(name: str) -> UpdateFamily:
 
 
 def load_family(spec: str) -> tuple[UpdateFamily, dict]:
-    """Resolve a family by corpus id, bundled data file, or filesystem path."""
+    """Resolve a family by corpus id or rule-file path."""
     if spec in BUILTIN_RULES:
-        res = resources.files("ubootstrap").joinpath(f"data/{spec}.json")
-        if res.is_file():
-            return parse_rule_data(json.loads(res.read_text()))
         return builtin(spec), BUILTIN_METADATA.get(spec, {})
     return parse_rule_file(spec)
 

@@ -34,6 +34,7 @@ from .geometry import (
     euclid,
     line_index,
     open_semicircle,
+    rotate,
     site_instability_arc,
     sort_directions,
     u_norm,
@@ -838,7 +839,6 @@ def iceberg_u0(U: UpdateFamily, u_star: Direction, S: StableSet,
         raise NoDriftDirectionError(f"{u_star} is not in a non-trivial stable interval")
 
     # minimal angular distance from u* to any difference perpendicular
-    pi_key = Direction(-1, 0).angle_key()
     best_key = None
     for v in difference_perpendiculars(U):
         if v == u_star:
@@ -851,7 +851,6 @@ def iceberg_u0(U: UpdateFamily, u_star: Direction, S: StableSet,
     spin = Direction(1, 1) if ccw_side else Direction(1, -1)
     n = 1
     while n < 1 << 40:
-        from .geometry import rotate
         u0 = rotate(u_star, Direction.of(n, spin.b))
         k = min(ccw_key(u_star, u0), ccw_key(u0, u_star))
         inside = comp.contains(u0) and u0 not in (comp.start, comp.end)

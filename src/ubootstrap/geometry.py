@@ -370,8 +370,3 @@ def u_norm(p: Site, ctx: UNormContext) -> float:
 
 def euclid(p: Site, q: Site) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def dist2(p: Site, q: Site) -> int:
-    dx, dy = p[0] - q[0], p[1] - q[1]
-    return dx * dx + dy * dy

@@ -1,22 +1,22 @@
 """Closure engines for bootstrap dynamics on finite windows, tori and
 half-plane-assisted bands.
 
-Three engines coexist deliberately: a frontier queue over Python sets (exact,
-handles every window/boundary combination, used by all rule-analysis code), a
-naive full-rescan fixed point (the oracle the frontier engine is tested
-against), and synchronous numpy sweeps (the only path fast enough for the
-Monte Carlo harness).  Closure is update-order independent by monotonicity,
-so the frontier and sweep engines must agree exactly; infection times are
+One frontier kernel, ``_grow``, computes every exact closure on Python sets:
+``closure`` runs it in a box (optionally next to an infected half-plane and
+inside a region), and ``strip_scan`` runs it in the band next to H_u, column
+window by column window.  ``closure_rescan`` is a naive full-rescan fixed
+point kept as the independent oracle for the kernel and the sweeps.
+Synchronous numpy sweeps run the torus and blocked-window dynamics of the
+Monte Carlo harness.  Closure is update-order independent by monotonicity,
+so the kernel and the sweeps must agree exactly; infection times are
 defined by the synchronous sweep.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -88,122 +88,99 @@ def rule_offsets(U) -> list[tuple[tuple[int, int], ...]]:
 
 
 # ---------------------------------------------------------------------------
-# frontier closure (exact, general)
+# the frontier closure kernel
 
 
-class LatticeState:
-    """Mutable infection state with frontier bookkeeping.
+def _grow(inf: set[Site], sources: Iterable[Site], rules, half: tuple[int, int, int],
+          bands, region: Optional[set[Site]] = None) -> list[Site]:
+    """Grow ``inf`` in place to its closure; return the added sites in order.
 
-    The frontier holds recently infected sites whose neighbourhoods still
-    need re-examination; the fixed point is reached exactly when it drains.
+    ``half = (a, b, off)``: sites with a*x + b*y < off count as infected and
+    are never added ((0, 0, 0) means no half-plane).  ``bands`` holds two
+    bounds (a_i, b_i, lo_i, hi_i): only sites with lo_i <= a_i*x + b_i*y < hi_i
+    are added, and only sites of ``region`` when it is given.
+
+    ``sources`` are the sites whose neighbourhoods need examining: every site
+    of ``inf`` that may support a new one.  A candidate s - x is only tested
+    against the rules containing x: a rule fires once its last support site
+    is examined.
     """
+    a, b, off = half
+    (a0, b0, lo0, hi0), (a1, b1, lo1, hi1) = bands
+    # each neighbourhood offset with its projections on the three normals and
+    # the rules that contain it, their sites lifted onto the half-plane normal
+    by_offset: dict[Site, list] = {}
+    for rule in rules:
+        lifted = tuple((ex, ey, a * ex + b * ey) for ex, ey in rule)
+        for x in rule:
+            by_offset.setdefault(x, []).append(lifted)
+    hood = [(dx, dy, a * dx + b * dy, a0 * dx + b0 * dy, a1 * dx + b1 * dy, rs)
+            for (dx, dy), rs in by_offset.items()]
+    frontier = list(sources)
+    start = len(frontier)
+    # the list grows while it is iterated: a FIFO queue without a deque
+    for sx, sy in frontier:
+        sh, s0, s1 = a * sx + b * sy, a0 * sx + b0 * sy, a1 * sx + b1 * sy
+        for dx, dy, dh, d0, d1, rs in hood:
+            c = (sx - dx, sy - dy)
+            if c in inf:
+                continue
+            ch = sh - dh
+            if ch < off:
+                continue
+            c0 = s0 - d0
+            if c0 < lo0 or c0 >= hi0:
+                continue
+            c1 = s1 - d1
+            if c1 < lo1 or c1 >= hi1:
+                continue
+            if region is not None and c not in region:
+                continue
+            cx, cy = c
+            for rule in rs:
+                for ex, ey, eh in rule:
+                    if ch + eh >= off and (cx + ex, cy + ey) not in inf:
+                        break
+                else:
+                    inf.add(c)
+                    frontier.append(c)
+                    break
+    return frontier[start:]
 
-    def __init__(self, infected: Iterable[Site] = ()):
-        self.infected: set[Site] = set(infected)
-        self.frontier: deque[Site] = deque(self.infected)
-        self.steps = 0
 
-    def infect(self, s: Site) -> None:
-        self.infected.add(s)
-        self.frontier.append(s)
-
-
-def closure(A: Iterable[Site], w: Window, U, region: Optional[Callable[[Site], bool]] = None) -> set[Site]:
-    """Least fixed point of the bootstrap dynamics inside window ``w``.
+def closure(A: Iterable[Site], w: Window, U, region: Optional[set[Site]] = None) -> set[Site]:
+    """Least fixed point of the bootstrap dynamics inside the box window ``w``.
 
     Half-plane boundary sites count as infected for rule evaluation but never
     appear in the output.  ``region`` optionally restricts which sites may
-    become infected (membership for support is unaffected).
+    become infected (membership for support is unaffected).  Torus closures
+    run on the synchronous sweeps (``torus_closure_grid``).
     """
-    shape = w.shape
-    if isinstance(shape, Torus):
-        if w.boundary is not None:
-            raise ValueError("half-plane boundary is not meaningful on a torus")
-        n = shape.n
-        wrap = lambda s: (s[0] % n, s[1] % n)
-        inside = lambda s: True
-    else:
-        wrap = lambda s: s
-        inside = shape.contains
-
-    hp = w.boundary
-    if hp is not None:
-        hu, off = hp.u, hp.offset
-        in_half = lambda s: line_index(s, hu) < off
-    else:
-        in_half = lambda s: False
-
+    box = w.shape
+    if not isinstance(box, Box):
+        raise ValueError("closure needs a Box window; use torus_closure_grid on a torus")
     rules = rule_offsets(U)
-    state = LatticeState()
-    for s in A:
-        s = wrap(s)
-        if inside(s) and not in_half(s):
-            state.infected.add(s)
-    state.frontier = deque(state.infected)
-
-    infected = state.infected
-
-    if isinstance(shape, Torus):
-        def occupied(s: Site) -> bool:
-            return in_half(s) or wrap(s) in infected
-    else:
-        # infected only ever holds in-box sites, so membership implies inside
-        def occupied(s: Site) -> bool:
-            return in_half(s) or s in infected
-
-    def infectable(s: Site) -> bool:
-        if not inside(s) or in_half(s):
-            return False
-        if region is not None and not region(s):
-            return False
-        return wrap(s) not in infected
-
-    def supported(s: Site) -> bool:
-        for rule in rules:
-            ok = True
-            for dx, dy in rule:
-                if not occupied((s[0] + dx, s[1] + dy)):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-    # Initial pass: only sites whose entire support sits in the half-plane
-    # can fire without any infected neighbour, and those live in a band of
-    # bounded height above the boundary.  Everything else is frontier-driven.
-    if hp is not None and isinstance(shape, Box):
-        reach_idx = max(abs(line_index(x, hp.u)) for rule in rules for x in rule) if rules else 0
-        for x in range(shape.x0, shape.x1):
-            for y in range(shape.y0, shape.y1):
-                s = (x, y)
-                if hp.offset <= line_index(s, hp.u) < hp.offset + reach_idx + 1:
-                    if infectable(s) and supported(s):
-                        state.infect(s)
-
-    while state.frontier:
-        s = state.frontier.popleft()
-        state.steps += 1
-        for rule in rules:
-            for dx, dy in rule:
-                cand = (s[0] - dx, s[1] - dy)
-                if cand in infected:
-                    continue
-                if not infectable(cand):
-                    continue
-                ok = True
-                for ex, ey in rule:
-                    if not occupied((cand[0] + ex, cand[1] + ey)):
-                        ok = False
-                        break
-                if ok:
-                    state.infect(wrap(cand))
-    return infected
+    hp = w.boundary
+    half = (hp.u.a, hp.u.b, hp.offset) if hp is not None else (0, 0, 0)
+    a, b, off = half
+    inf = {s for s in A if box.contains(s) and a * s[0] + b * s[1] >= off}
+    sources = list(inf)
+    if hp is not None and rules:
+        # the half-plane's sites within reach of the box can support a site
+        # above it: they enter as sources like any infected site
+        depth = max(abs(a * dx + b * dy) for rule in rules for dx, dy in rule)
+        r = max(max(abs(dx), abs(dy)) for rule in rules for dx, dy in rule)
+        sources += [(x, y) for x in range(box.x0 - r, box.x1 + r)
+                    for y in range(box.y0 - r, box.y1 + r)
+                    if off - depth <= a * x + b * y < off]
+    _grow(inf, sources, rules, half, ((1, 0, box.x0, box.x1), (0, 1, box.y0, box.y1)), region)
+    return inf
 
 
-def closure_rescan(A: Iterable[Site], w: Window, U) -> set[Site]:
+def closure_rescan(A: Iterable[Site], w: Window, U, region: Optional[set[Site]] = None) -> set[Site]:
     """Naive fixed-point iteration: rescan every window site each pass.
-    Independent oracle for the frontier engine; only for small windows."""
+    Independent oracle for the frontier kernel and the sweeps; only for small
+    windows.  ``region`` restricts which sites may become infected."""
     shape = w.shape
     if isinstance(shape, Torus):
         n = shape.n
@@ -229,7 +206,7 @@ def closure_rescan(A: Iterable[Site], w: Window, U) -> set[Site]:
     while changed:
         changed = False
         for s in sites:
-            if s in infected or in_half(s):
+            if s in infected or in_half(s) or (region is not None and s not in region):
                 continue
             for rule in rules:
                 if all(in_half((s[0] + dx, s[1] + dy)) or occupied_raw((s[0] + dx, s[1] + dy), infected)
@@ -355,7 +332,7 @@ class StripScan:
     col_width: int
     period_plus: Optional[tuple[int, int]]  # (first column j0, period r)
     period_minus: Optional[tuple[int, int]]
-    blocked_above: bool
+    blocked_above: bool  # Z reaches above the band: every verdict is BandExceeded
     norm2: int  # a^2 + b^2 of the scan direction
 
 
@@ -385,7 +362,7 @@ def strip_scan(u: Direction, Z: Iterable[Site], U, band_height: int, max_columns
         return StripScan(StripVerdict.BAND_EXCEEDED, StripVerdict.BAND_EXCEEDED,
                          set(Z), 1, None, None, True, a * a + b * b)
 
-    rules = [tuple(r) for r in rule_offsets(U)]
+    rules = rule_offsets(U)
     reach_c = 1
     for rule in rules:
         for dx, dy in rule:
@@ -393,50 +370,19 @@ def strip_scan(u: Direction, Z: Iterable[Site], U, band_height: int, max_columns
     W = 2 * reach_c
 
     infected: set[Site] = set(Z)
-    blocked_above = False
 
     cz = [cpos(z) for z in Z] or [0]
     C = max(max(map(abs, cz)) + 4 * W, 6 * W)
     fronts = [max(cz), min(cz)]
 
     def run_fixpoint(seeds):
-        # a candidate is only tested against the rule that generated it: any
-        # satisfied rule fires when its last support site gets infected
-        nonlocal blocked_above
-        inf = infected
-        frontier = deque(seeds)
-        pop = frontier.popleft
-        push = frontier.append
-        while frontier:
-            sx, sy = pop()
-            for rule in rules:
-                for dx, dy in rule:
-                    cx, cy = sx - dx, sy - dy
-                    if (cx, cy) in inf:
-                        continue
-                    ci = a * cx + b * cy
-                    if ci < 0:
-                        continue
-                    cc = b * cx - a * cy
-                    if cc > C or cc < -C:
-                        continue
-                    ok = True
-                    for ex, ey in rule:
-                        qx, qy = cx + ex, cy + ey
-                        if a * qx + b * qy >= 0 and (qx, qy) not in inf:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    if ci >= band_height:
-                        blocked_above = True
-                        continue
-                    inf.add((cx, cy))
-                    push((cx, cy))
-                    if cc > fronts[0]:
-                        fronts[0] = cc
-                    if cc < fronts[1]:
-                        fronts[1] = cc
+        # u is stable, so no site rises above the highest line of Z: the
+        # band's upper bound never refuses a supported site
+        added = _grow(infected, seeds, rules, (a, b, 0), ((a, b, 0, band_height), (b, -a, -C, C + 1)))
+        if added:
+            cs = [b * x - a * y for x, y in added]
+            fronts[0] = max(fronts[0], max(cs))
+            fronts[1] = min(fronts[1], min(cs))
 
     def snapshot():
         cols: dict[int, list] = {}
@@ -532,14 +478,8 @@ def strip_scan(u: Direction, Z: Iterable[Site], U, band_height: int, max_columns
         edge = [s for s in infected if abs(cpos(s)) >= C // 2 - 2 * W]
         run_fixpoint(edge)
 
-    if blocked_above:
-        if verdict_plus != StripVerdict.INFINITE_LINE:
-            verdict_plus = StripVerdict.BAND_EXCEEDED
-        if verdict_minus != StripVerdict.INFINITE_LINE:
-            verdict_minus = StripVerdict.BAND_EXCEEDED
-
     return StripScan(verdict_plus, verdict_minus, infected, W,
-                     period_plus, period_minus, blocked_above, a * a + b * b)
+                     period_plus, period_minus, False, a * a + b * b)
 
 
 def strip_line_decision(u: Direction, Z: Iterable[Site], U, band_height: int,
@@ -560,76 +500,3 @@ def strip_line_decision(u: Direction, Z: Iterable[Site], U, band_height: int,
             return StripVerdict.BAND_EXCEEDED
         return StripVerdict.FINITE_LINE
     raise ValueError(f"unknown side {side!r}")
-
-
-# ---------------------------------------------------------------------------
-# u-crossing events
-
-
-def is_u_crossed(u: Direction, strip, A: Iterable[Site], U, kappa: float) -> bool:
-    """Whether [H_u(x) ∪ (S ∩ A)], computed inside the strip plus a collar,
-    contains a strongly connected set joining the half-plane below the
-    (-u)-side to the u-side of the strip.
-
-    ``strip`` is any droplet-like object exposing sites() and the direction
-    list; x is taken on the (-u)-side, so the assisting half-plane is
-    {y : line_index(y, u) < min index over the strip}.
-    """
-    sites = set(strip.sites())
-    if not sites:
-        return False
-    offset = min(line_index(s, u) for s in sites)
-    top = max(line_index(s, u) for s in sites)
-    face = {s for s in sites if line_index(s, u) == top}
-
-    reach = int(math.ceil(max(math.hypot(dx, dy) for rule in rule_offsets(U) for dx, dy in rule)))
-    collar: set[Site] = set()
-    for sx, sy in sites:
-        for dx in range(-reach, reach + 1):
-            for dy in range(-reach, reach + 1):
-                collar.add((sx + dx, sy + dy))
-    region = {s for s in collar if line_index(s, u) >= offset}
-
-    xs = [s[0] for s in region]
-    ys = [s[1] for s in region]
-    box = Box(min(xs), min(ys), max(xs) + 1, max(ys) + 1)
-    w = Window(box, HalfPlane(u, offset))
-    seeds = set(A) & sites
-    closed = closure(seeds, w, U, region=lambda s: s in region)
-
-    if not closed:
-        return False
-
-    kap2 = kappa * kappa + 1e-9
-    kc = int(math.floor(kappa + 1e-9))
-
-    def near_half(s) -> bool:
-        for dx in range(-kc, kc + 1):
-            for dy in range(-kc, kc + 1):
-                if dx * dx + dy * dy <= kap2 and line_index((s[0] + dx, s[1] + dy), u) < offset:
-                    return True
-        return False
-
-    # BFS over kappa-adjacency starting from every closed site near the plane
-    buckets: dict[tuple[int, int], list[Site]] = {}
-    cell = max(1, kc)
-    for s in closed:
-        buckets.setdefault((s[0] // cell, s[1] // cell), []).append(s)
-
-    start = [s for s in closed if near_half(s)]
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        s = queue.popleft()
-        if s in face:
-            return True
-        bx, by = s[0] // cell, s[1] // cell
-        for gx in range(bx - 2, bx + 3):
-            for gy in range(by - 2, by + 3):
-                for t in buckets.get((gx, gy), ()):
-                    if t not in seen:
-                        dx, dy = s[0] - t[0], s[1] - t[1]
-                        if dx * dx + dy * dy <= kap2:
-                            seen.add(t)
-                            queue.append(t)
-    return bool(seen & face)

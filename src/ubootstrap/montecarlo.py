@@ -43,7 +43,6 @@ class TrialConfig:
     p: float
     seed: int
     trials: int
-    t_max: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):

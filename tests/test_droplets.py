@@ -6,7 +6,7 @@ import pytest
 from ubootstrap.families import builtin
 from ubootstrap.family import classify, kappa as kappa_of, nu, rho_bound, stable_set, iceberg_u0
 from ubootstrap.geometry import Direction, line_index
-from ubootstrap.lattice import Box, HalfPlane, Window, closure, is_u_crossed
+from ubootstrap.lattice import Box, HalfPlane, Window, closure
 from ubootstrap.droplets import (
     CriticalType,
     Droplet,
@@ -19,6 +19,7 @@ from ubootstrap.droplets import (
     is_internally_filled,
     is_internally_spanned,
     is_strongly_connected,
+    is_u_crossed,
     iceberg_algorithm,
     minimal_droplet,
     smallest_iceberg,
@@ -375,3 +376,8 @@ class TestUCrossed:
         assert is_u_crossed(E2, strip, A, U2, kappa=4.0)
         far = {(3 * y, y) for y in range(6)}
         assert not is_u_crossed(E2, strip, far, U2, kappa=2.0)
+
+    def test_downward_crossing(self):
+        strip = minimal_droplet([(x, y) for x in range(8) for y in range(6)], AXES)
+        assert is_u_crossed(Direction(0, -1), strip, {(3, y) for y in range(6)}, U2, kappa=4.0)
+        assert not is_u_crossed(Direction(0, -1), strip, {(3, 0)}, U2, kappa=2.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ubootstrap.families import builtin
+from ubootstrap.family import UpdateFamily
 from ubootstrap.geometry import Direction
 from ubootstrap.lattice import (
     TIMEOUT,
@@ -18,12 +19,17 @@ from ubootstrap.lattice import (
     percolates,
     strip_line_decision,
     strip_scan,
+    torus_closure_grid,
 )
 
 U2 = builtin("two-neighbour")
 DUARTE = builtin("duarte")
 E1, E2 = Direction(1, 0), Direction(0, 1)
 BOX = Window(Box(-24, -24, 25, 25))
+# 1-4 rules of 1-3 sites within radius 2
+OFFSETS = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+SMALL_FAMILIES = st.lists(st.lists(st.sampled_from(OFFSETS), min_size=1, max_size=3),
+                          min_size=1, max_size=4).map(UpdateFamily.of)
 
 
 class TestClosure:
@@ -46,10 +52,44 @@ class TestClosure:
                 assert closure(pts, w, fam) == closure_rescan(pts, w, fam)
 
     def test_torus_matches_rescan(self):
-        rng = np.random.default_rng(7)
-        pts = {(int(x), int(y)) for x, y in rng.integers(0, 8, size=(10, 2))}
-        w = Window(Torus(8))
-        assert closure(pts, w, U2) == closure_rescan(pts, w, U2)
+        # every p_c trial runs the torus sweeps; the rescan oracle checks them
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            grid = rng.random((8, 8)) < 0.2
+            pts = {(x, y) for y in range(8) for x in range(8) if grid[y, x]}
+            want = closure_rescan(pts, Window(Torus(8)), U2)
+            got = torus_closure_grid(grid, U2)
+            assert {(x, y) for y in range(8) for x in range(8) if got[y, x]} == want
+
+    def test_torus_window_rejected(self):
+        with pytest.raises(ValueError):
+            closure([(0, 0)], Window(Torus(8)), U2)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rescan_oracle_on_random_families(self, data):
+        fam = data.draw(SMALL_FAMILIES)
+        box = Box(-6, -6, 6, 6)
+        cells = [(x, y) for x in range(-6, 6) for y in range(-6, 6)]
+        seeds = set(data.draw(st.lists(st.sampled_from(cells), max_size=20)))
+        hp = region = None
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                             .filter(lambda v: v != (0, 0)))
+            hp = HalfPlane(Direction.of(a, b), data.draw(st.integers(-4, 4)))
+        if data.draw(st.booleans()):
+            region = set(data.draw(st.lists(st.sampled_from(cells), max_size=100)))
+        w = Window(box, hp)
+        assert closure(seeds, w, fam, region) == closure_rescan(seeds, w, fam, region)
+
+    def test_halfplane_alone_matches_rescan(self):
+        # a one-site rule fires on the half-plane alone, from every depth
+        w_box = Box(-4, -4, 5, 5)
+        for x in OFFSETS:
+            fam = UpdateFamily.of([[x]])
+            for d in (E1, E2, Direction(-1, 0), Direction(1, -1), Direction(-1, 2), Direction(3, 1)):
+                w = Window(w_box, HalfPlane(d, 1))
+                assert closure([], w, fam) == closure_rescan([], w, fam), (x, d)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
@@ -191,6 +231,21 @@ class TestStripMachine:
     def test_band_exceeded_for_witness_above_band(self):
         v = strip_line_decision(E2, [(0, 9)], DUARTE, 4, "plus")
         assert v is StripVerdict.BAND_EXCEEDED
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_stable_growth_stays_below_highest_witness_line(self, data):
+        # the lemma behind the band: next to a stable half-plane, a site
+        # above every infected line has no support
+        fam = data.draw(SMALL_FAMILIES)
+        u = data.draw(st.sampled_from([E1, E2, Direction(-1, 0), Direction(1, 1), Direction(1, -2)]))
+        Z = [z for z in data.draw(st.lists(st.sampled_from(OFFSETS), max_size=3)) if u.dot(z) >= 0]
+        assume(all(any(u.dot(x) >= 0 for x in rule) for rule in fam.rules))
+        scan = strip_scan(u, Z, fam, 8)
+        top = max((u.dot(z) for z in Z), default=-1)
+        assert all(0 <= u.dot(s) <= top for s in scan.infected)
+        assert not scan.blocked_above
+        assert StripVerdict.BAND_EXCEEDED not in (scan.verdict_plus, scan.verdict_minus)
 
     def test_range_two_rules_periodicity(self):
         # vertical growth jumps by two; the column machine must still settle
