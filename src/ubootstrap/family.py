@@ -1,6 +1,6 @@
 """Rule algebra for update families: the exact stable set, the
 subcritical/critical/supercritical trichotomy, direction difficulties via the
-band oracle, balancedness, droplet direction selection, and the handful of
+strip oracle, balancedness, droplet direction selection, and the handful of
 derived constants (nu, alpha*, rho-hat, kappa) the droplet algorithms need.
 
 Difficulty values are decided by bounded search and carry an explicit
@@ -28,9 +28,7 @@ from .geometry import (
     ccw_key,
     closed_semicircle,
     cross,
-    delta,
     direction_between,
-    dot_sign,
     euclid,
     line_index,
     open_semicircle,
@@ -43,9 +41,9 @@ from .lattice import (
     Box,
     HalfPlane,
     StripVerdict,
-    StripUnresolvedError,
     Window,
     closure,
+    is_stable,
     strip_line_decision,
     strip_scan,
 )
@@ -135,12 +133,6 @@ def nu(U: UpdateFamily) -> float:
             for j in range(i + 1, len(pts)):
                 best = max(best, euclid(pts[i], pts[j]))
     return best
-
-
-def is_stable(u: Direction, U: UpdateFamily) -> bool:
-    """True iff no rule fits inside the open half-plane H_u, equivalently
-    every rule has a site with nonnegative inner product with u."""
-    return all(any(dot_sign(x, u) >= 0 for x in rule) for rule in U.rules)
 
 
 @dataclass(frozen=True)
@@ -239,20 +231,8 @@ class DifficultyResult:
         return INFINITE_WITHIN_WINDOW
 
 
-MAX_BAND_HEIGHT = 1024
-
-
-def _line_decision(u: Direction, Z: frozenset, U: UpdateFamily, side: str) -> StripVerdict:
-    """Band oracle with the default escalation policy: start at
-    4*ceil(nu)*(|Z|+1) rows, double on BandExceeded up to MAX_BAND_HEIGHT."""
-    h = 4 * math.ceil(nu(U)) * (len(Z) + 1)
-    if Z:
-        h = max(h, max(line_index(z, u) for z in Z) + 1)
-    while True:
-        v = strip_line_decision(u, Z, U, h, side=side)
-        if v is not StripVerdict.BAND_EXCEEDED or h >= MAX_BAND_HEIGHT:
-            return v
-        h *= 2
+# a difficulty search gives up after testing this many candidate sets
+CANDIDATE_CAP = 10 ** 6
 
 
 def _half_sites(u: Direction, window: int) -> list[Site]:
@@ -301,7 +281,7 @@ def _canonical_witnesses(u: Direction, window: int, k: int):
 
 @lru_cache(maxsize=None)
 def _difficulty_side_cached(U: UpdateFamily, u: Direction, side: str, window: int,
-                            max_cardinality: int, candidate_cap: int) -> DifficultyResult:
+                            max_cardinality: int) -> DifficultyResult:
     if not U.rules:
         raise EmptyFamilyError("difficulty of an empty family")
     if not is_stable(u, U):
@@ -310,31 +290,31 @@ def _difficulty_side_cached(U: UpdateFamily, u: Direction, side: str, window: in
     for k in range(1, max_cardinality + 1):
         for Z in _canonical_witnesses(u, window, k):
             tested += 1
-            if tested > candidate_cap:
+            if tested > CANDIDATE_CAP:
                 raise SearchBudgetExceededError(
-                    f"difficulty search for u={u} exceeded {candidate_cap} candidates")
-            if _line_decision(u, Z, U, side) is StripVerdict.INFINITE_LINE:
+                    f"difficulty search for u={u} exceeded {CANDIDATE_CAP} candidates")
+            if strip_line_decision(u, Z, U, side) is StripVerdict.INFINITE_LINE:
                 return DifficultyResult(k, window, Z, k)
     return DifficultyResult(INFINITE_WITHIN_WINDOW, window, None, max_cardinality)
 
 
 def difficulty_side(u: Direction, side: str, U: UpdateFamily, window: int = 8,
-                    max_cardinality: int = 4, candidate_cap: int = 10 ** 6) -> DifficultyResult:
+                    max_cardinality: int = 4) -> DifficultyResult:
     """Minimal cardinality of a set Z in the radius-``window`` box, disjoint
     from H_u, such that the half-plane plus Z infects infinitely many sites
     of the boundary ray on the given side ('plus' is rightward looking along
     u)."""
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    return _difficulty_side_cached(U, u, side, window, max_cardinality, candidate_cap)
+    return _difficulty_side_cached(U, u, side, window, max_cardinality)
 
 
 def difficulty(u: Direction, U: UpdateFamily, window: int = 8,
-               max_cardinality: int = 4, candidate_cap: int = 10 ** 6) -> DifficultyResult:
+               max_cardinality: int = 4) -> DifficultyResult:
     """Difficulty of the direction u: the minimum of the two side values when
     both are finite, INFINITE_WITHIN_WINDOW otherwise."""
-    p = difficulty_side(u, "plus", U, window, max_cardinality, candidate_cap)
-    m = difficulty_side(u, "minus", U, window, max_cardinality, candidate_cap)
+    p = difficulty_side(u, "plus", U, window, max_cardinality)
+    m = difficulty_side(u, "minus", U, window, max_cardinality)
     if p.resolved and m.resolved:
         best = p if p.value <= m.value else m
         return DifficultyResult(best.value, window, best.witness,
@@ -408,21 +388,12 @@ def _arc_pieces(S: StableSet, window_arc: Arc) -> tuple[list[Direction], bool]:
     return pts, has_arc
 
 
-def _cert_at_least(U, u, threshold, window, candidate_cap) -> tuple[bool, DifficultyResult, DifficultyResult]:
-    """Within-window certificate that alpha(u) >= threshold: no witness of
-    cardinality <= threshold-1 on both sides simultaneously."""
-    p = difficulty_side(u, "plus", U, window, threshold - 1, candidate_cap)
-    m = difficulty_side(u, "minus", U, window, threshold - 1, candidate_cap)
-    return not (p.resolved and m.resolved), p, m
-
-
-def _alpha_bar_at_least(U, u, threshold, window, candidate_cap) -> bool:
-    """Within-window certificate that both side difficulties are >= threshold."""
-    for side in ("plus", "minus"):
-        r = difficulty_side(u, side, U, window, threshold - 1, candidate_cap)
-        if r.resolved and r.value < threshold:
-            return False
-    return True
+def _sides_below(U, u, threshold, window) -> tuple[DifficultyResult, DifficultyResult]:
+    """Plus and minus searches for a witness of cardinality below threshold.
+    Within the window, alpha(u) >= threshold unless both sides resolve, and
+    both side difficulties are >= threshold when neither does."""
+    return (difficulty_side(u, "plus", U, window, threshold - 1),
+            difficulty_side(u, "minus", U, window, threshold - 1))
 
 
 def _interior_sample(arc: Arc) -> Direction:
@@ -436,12 +407,12 @@ def _gap_is_wide(p: Direction, q: Direction) -> bool:
     return ccw_key(p, q) >= Direction(-1, 0).angle_key()
 
 
-def _select_balanced_directions(U, S, alpha, window, candidate_cap) -> list[Direction]:
+def _select_balanced_directions(U, S, alpha, window) -> list[Direction]:
     """A finite set of stable directions, each with both side difficulties at
     least alpha, meeting every open semicircle (all angular gaps < pi)."""
     chosen: set[Direction] = set()
     for d in S.isolated_points():
-        r = difficulty(d, U, window, max_cardinality=alpha, candidate_cap=candidate_cap)
+        r = difficulty(d, U, window, max_cardinality=alpha)
         if not r.resolved or r.value >= alpha:
             chosen.add(d)
     interiors = []
@@ -458,7 +429,7 @@ def _select_balanced_directions(U, S, alpha, window, candidate_cap) -> list[Dire
     for d in S.endpoint_directions():
         if d in chosen:
             continue
-        if _alpha_bar_at_least(U, d, alpha, window, candidate_cap):
+        if not any(r.resolved for r in _sides_below(U, d, alpha, window)):
             chosen.add(d)
 
     for _ in range(200):
@@ -489,8 +460,7 @@ def _select_balanced_directions(U, S, alpha, window, candidate_cap) -> list[Dire
     raise DifficultyWindowExhaustedError("droplet direction refinement did not converge")
 
 
-def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4,
-             candidate_cap: int = 10 ** 6) -> Classification:
+def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Classification:
     """Full classification of an update family.
 
     The trichotomy and the stable set are exact.  Difficulty-derived fields
@@ -531,7 +501,7 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4,
         for d, pts in finite_cands:
             for p in pts:
                 if p not in values:
-                    values[p] = difficulty(p, U, window, cap, candidate_cap)
+                    values[p] = difficulty(p, U, window, cap)
         resolved_maxima = []
         for d, pts in finite_cands:
             rs = [values[p] for p in pts]
@@ -557,7 +527,7 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4,
             continue
         ok = True
         for p in pts:
-            r = diffs.get(p) or difficulty(p, U, window, alpha, candidate_cap)
+            r = diffs.get(p) or difficulty(p, U, window, alpha)
             diffs.setdefault(p, r)
             if not (r.resolved and r.value <= alpha):
                 ok = False
@@ -569,7 +539,7 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4,
 
     if cls.balanced:
         cls.droplet_directions = tuple(
-            _select_balanced_directions(U, S, alpha, window, candidate_cap))
+            _select_balanced_directions(U, S, alpha, window))
         return cls
 
     # unbalanced: u* is the ccw end of a minimizing open semicircle whose
@@ -579,10 +549,11 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4,
         ustar = d.neg()
         if not (S.contains(ustar) and S.contains(d)):
             continue
-        ok1, p1, m1 = _cert_at_least(U, ustar, alpha + 1, window, candidate_cap)
-        ok2, p2, m2 = _cert_at_least(U, d, alpha + 1, window, candidate_cap)
-        if ok1 and ok2:
-            pick = (d, pts, (p1, m1), (p2, m2))
+        star_sides = _sides_below(U, ustar, alpha + 1, window)
+        anti_sides = _sides_below(U, d, alpha + 1, window)
+        # difficulty >= alpha + 1 at both ends: neither has both sides resolved
+        if not all(r.resolved for r in star_sides) and not all(r.resolved for r in anti_sides):
+            pick = (d, pts, star_sides, anti_sides)
             break
     if pick is None:
         raise DifficultyWindowExhaustedError(
@@ -607,7 +578,7 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4,
         pool = []
         for e in S.isolated_points():
             if cross(ustar, e) * sign > 0:
-                r = diffs.get(e) or difficulty(e, U, window, alpha, candidate_cap)
+                r = diffs.get(e) or difficulty(e, U, window, alpha)
                 diffs.setdefault(e, r)
                 if (not r.resolved) or r.value >= alpha:
                     pool.append(e)
@@ -618,7 +589,8 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4,
             if cross(ustar, s) * sign > 0:
                 pool.append(s)
             for e in (a.start, a.end):
-                if cross(ustar, e) * sign > 0 and _alpha_bar_at_least(U, e, alpha, window, candidate_cap):
+                if cross(ustar, e) * sign > 0 and not any(
+                        r.resolved for r in _sides_below(U, e, alpha, window)):
                     pool.append(e)
         return pool
 
@@ -675,10 +647,8 @@ def voracious_check(Z: Iterable[Site], u: Direction, U: UpdateFamily,
     Z = frozenset(tuple(z) for z in Z)
     if len(Z) > alpha_cap:
         raise ValueError(f"witness of size {len(Z)} exceeds cap {alpha_cap}")
-    v = _line_decision(u, Z, U, "line")
-    if v is StripVerdict.BAND_EXCEEDED:
-        raise StripHeightExceededError(f"band escalation exhausted for u={u}")
-    return v is StripVerdict.INFINITE_LINE
+    scan = strip_scan(u, Z, U)
+    return StripVerdict.INFINITE_LINE in (scan.verdict_plus, scan.verdict_minus)
 
 
 def _ray_filled(u: Direction, Z: frozenset, U: UpdateFamily) -> bool:
@@ -686,23 +656,17 @@ def _ray_filled(u: Direction, Z: frozenset, U: UpdateFamily) -> bool:
     boundary line (every site, not just infinitely many)."""
     a, b = u.a, u.b
     norm2 = a * a + b * b
-    h = 4 * math.ceil(nu(U)) * (len(Z) + 1)
-    while True:
-        scan = strip_scan(u, Z, U, h)
-        if scan.verdict_plus is StripVerdict.BAND_EXCEEDED and h < MAX_BAND_HEIGHT:
-            h *= 2
-            continue
-        if scan.verdict_plus is not StripVerdict.INFINITE_LINE or scan.period_plus is None:
+    scan = strip_scan(u, Z, U)
+    if scan.verdict_plus is not StripVerdict.INFINITE_LINE or scan.period_plus is None:
+        return False
+    j0, r = scan.period_plus
+    hi_c = (j0 + 3 * r) * scan.col_width
+    i = 0
+    while i * norm2 < hi_c:
+        if (i * b, -i * a) not in scan.infected:
             return False
-        j0, r = scan.period_plus
-        w = scan.col_width
-        hi_c = (j0 + 3 * r) * w
-        i = 0
-        while i * norm2 < hi_c:
-            if (i * b, -i * a) not in scan.infected:
-                return False
-            i += 1
-        return True
+        i += 1
+    return True
 
 
 def alpha_star(U: UpdateFamily, u_star: Direction, window: int = 16) -> DifficultyResult:

@@ -307,18 +307,6 @@ def arc_normalize(a: Sequence[Arc]) -> list[Arc]:
     return _rebuild([a], lambda m: m[0])
 
 
-def arc_boolean(a: Sequence[Arc], b: Sequence[Arc], op: str) -> list[Arc]:
-    """Exact set algebra on the circle; op is union, intersect or complement
-    (complement ignores b).  Inputs need not be normalized."""
-    if op == "union":
-        return arc_union(a, b)
-    if op == "intersect":
-        return arc_intersect(a, b)
-    if op == "complement":
-        return arc_complement(a)
-    raise ValueError(f"unknown arc op {op!r}")
-
-
 def open_semicircle(d: Direction) -> Arc:
     """Open semicircle {e : cross(d, e) > 0}, i.e. strictly ccw of d."""
     return Arc(d, d.neg(), False, False)

@@ -1,9 +1,9 @@
 """Closure engines for bootstrap dynamics on finite windows, tori and
-half-plane-assisted bands.
+half-plane-assisted strips.
 
 One frontier kernel, ``_grow``, computes every exact closure on Python sets:
 ``closure`` runs it in a box (optionally next to an infected half-plane and
-inside a region), and ``strip_scan`` runs it in the band next to H_u, column
+inside a region), and ``strip_scan`` runs it in the strip next to H_u, column
 window by column window.  ``closure_rescan`` is a naive full-rescan fixed
 point kept as the independent oracle for the kernel and the sweeps.
 Synchronous numpy sweeps run the torus and blocked-window dynamics of the
@@ -310,13 +310,15 @@ def infection_time(A: Iterable[Site], U, t_max: int, w: Window):
 
 
 # ---------------------------------------------------------------------------
-# the band machine: deciding line infection by semi-periodicity
+# the strip machine: deciding line infection by semi-periodicity
+
+# the scan gives up after this many column widths on either side
+MAX_COLUMNS = 4096
 
 
 class StripVerdict(Enum):
     INFINITE_LINE = "InfiniteLine"
     FINITE_LINE = "FiniteLine"
-    BAND_EXCEEDED = "BandExceeded"
 
 
 class StripUnresolvedError(RuntimeError):
@@ -332,19 +334,23 @@ class StripScan:
     col_width: int
     period_plus: Optional[tuple[int, int]]  # (first column j0, period r)
     period_minus: Optional[tuple[int, int]]
-    blocked_above: bool  # Z reaches above the band: every verdict is BandExceeded
-    norm2: int  # a^2 + b^2 of the scan direction
 
 
-def _is_stable_raw(u: Direction, U) -> bool:
+def is_stable(u: Direction, U) -> bool:
+    """True iff no rule fits inside the open half-plane H_u, equivalently
+    every rule has a site with nonnegative inner product with u."""
     return all(any(u.dot(x) >= 0 for x in rule) for rule in U.rules)
 
 
-def strip_scan(u: Direction, Z: Iterable[Site], U, band_height: int, max_columns: int = 4096) -> StripScan:
-    """Simulate [H_u ∪ Z] in the band 0 <= line_index < band_height and
-    resolve, for each horizontal direction, whether the infection marches
-    forever (detected by a repeated column state, then re-verified three
-    periods forward) or dies out.
+def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
+    """Simulate [H_u ∪ Z] next to the boundary line and resolve, for each
+    horizontal direction, whether the infection marches forever (detected by
+    a repeated column state, then re-verified three periods forward) or dies
+    out.
+
+    For a stable u no site of the closure rises above the highest line of
+    Z, so the scan runs on the lines 0..max line(Z), column window by column
+    window, doubling the window up to MAX_COLUMNS column widths.
     """
     a, b = u.a, u.b
     Z = {tuple(z) for z in Z}
@@ -353,15 +359,12 @@ def strip_scan(u: Direction, Z: Iterable[Site], U, band_height: int, max_columns
     if any(idx(z) < 0 for z in Z):
         raise ValueError("witness set must avoid the half-plane")
 
-    if not _is_stable_raw(u, U):
+    if not is_stable(u, U):
         # the half-plane alone fills everything
         return StripScan(StripVerdict.INFINITE_LINE, StripVerdict.INFINITE_LINE,
-                         set(Z), 1, (0, 1), (0, 1), False, a * a + b * b)
+                         set(Z), 1, (0, 1), (0, 1))
 
-    if any(idx(z) >= band_height for z in Z):
-        return StripScan(StripVerdict.BAND_EXCEEDED, StripVerdict.BAND_EXCEEDED,
-                         set(Z), 1, None, None, True, a * a + b * b)
-
+    top = max(map(idx, Z), default=-1) + 1
     rules = rule_offsets(U)
     reach_c = 1
     for rule in rules:
@@ -376,9 +379,7 @@ def strip_scan(u: Direction, Z: Iterable[Site], U, band_height: int, max_columns
     fronts = [max(cz), min(cz)]
 
     def run_fixpoint(seeds):
-        # u is stable, so no site rises above the highest line of Z: the
-        # band's upper bound never refuses a supported site
-        added = _grow(infected, seeds, rules, (a, b, 0), ((a, b, 0, band_height), (b, -a, -C, C + 1)))
+        added = _grow(infected, seeds, rules, (a, b, 0), ((a, b, 0, top), (b, -a, -C, C + 1)))
         if added:
             cs = [b * x - a * y for x, y in added]
             fronts[0] = max(fronts[0], max(cs))
@@ -472,31 +473,19 @@ def strip_scan(u: Direction, Z: Iterable[Site], U, band_height: int, max_columns
 
         prev = snap
         C *= 2
-        if C > max_columns * W:
+        if C > MAX_COLUMNS * W:
             raise StripUnresolvedError(
-                f"no repeat within {max_columns} columns for u=({a},{b})")
+                f"no repeat within {MAX_COLUMNS} columns for u=({a},{b})")
         edge = [s for s in infected if abs(cpos(s)) >= C // 2 - 2 * W]
         run_fixpoint(edge)
 
-    return StripScan(verdict_plus, verdict_minus, infected, W,
-                     period_plus, period_minus, False, a * a + b * b)
+    return StripScan(verdict_plus, verdict_minus, infected, W, period_plus, period_minus)
 
 
-def strip_line_decision(u: Direction, Z: Iterable[Site], U, band_height: int,
-                        side: str = "plus", max_columns: int = 4096) -> StripVerdict:
+def strip_line_decision(u: Direction, Z: Iterable[Site], U, side: str) -> StripVerdict:
     """Decide whether [H_u ∪ Z] meets the boundary line infinitely often on
-    the requested side (plus = rightward looking along u, minus = leftward,
-    line = either)."""
-    scan = strip_scan(u, Z, U, band_height, max_columns)
-    if side == "plus":
-        return scan.verdict_plus
-    if side == "minus":
-        return scan.verdict_minus
-    if side == "line":
-        vs = (scan.verdict_plus, scan.verdict_minus)
-        if StripVerdict.INFINITE_LINE in vs:
-            return StripVerdict.INFINITE_LINE
-        if StripVerdict.BAND_EXCEEDED in vs:
-            return StripVerdict.BAND_EXCEEDED
-        return StripVerdict.FINITE_LINE
-    raise ValueError(f"unknown side {side!r}")
+    the requested side (plus = rightward looking along u, minus = leftward)."""
+    if side not in ("plus", "minus"):
+        raise ValueError(f"unknown side {side!r}")
+    scan = strip_scan(u, Z, U)
+    return scan.verdict_plus if side == "plus" else scan.verdict_minus

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -62,10 +62,15 @@ class Fraction01:
 
 @dataclass(frozen=True)
 class PcEstimate:
+    """p_hat is the midpoint of the last bisection bracket [bracket_low,
+    bracket_high].  The bracket is not a confidence interval: each step
+    follows one noisy estimate of the percolation probability, so the true
+    p_c can lie outside it."""
+
     n: int
     p_hat: float
-    ci_low: float
-    ci_high: float
+    bracket_low: float
+    bracket_high: float
     trials_used: int
     evaluations: tuple = ()
 

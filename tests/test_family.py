@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ubootstrap import family
 from ubootstrap.families import builtin
 from ubootstrap.family import (
     INFINITE_WITHIN_WINDOW,
@@ -10,6 +11,7 @@ from ubootstrap.family import (
     Kind,
     NoDriftDirectionError,
     NotCriticalError,
+    SearchBudgetExceededError,
     UpdateFamily,
     alpha_star,
     classify,
@@ -119,6 +121,22 @@ class TestDifficulty:
         assert r.value is INFINITE_WITHIN_WINDOW
         r4 = difficulty_side(E2, "minus", DUARTE, window=3, max_cardinality=4)
         assert r4.value is INFINITE_WITHIN_WINDOW
+
+    def test_duarte_side_certificates(self):
+        # at u = (0, 1) the plus side resolves at 1 and the minus side does
+        # not: alpha(u) >= 2 holds, but not both sides are >= 2
+        from ubootstrap.family import _sides_below
+        p, m = _sides_below(DUARTE, E2, 2, 8)
+        assert p.resolved and p.value == 1
+        assert not m.resolved
+        assert not all(r.resolved for r in (p, m))
+        assert any(r.resolved for r in (p, m))
+
+    def test_candidate_cap_raises_typed_error(self, monkeypatch):
+        # a window no other test uses: difficulty searches are cached
+        monkeypatch.setattr(family, "CANDIDATE_CAP", 3)
+        with pytest.raises(SearchBudgetExceededError):
+            difficulty_side(E1, "plus", builtin("gg-two"), window=7, max_cardinality=2)
 
     def test_veh_axis_difficulties(self):
         assert difficulty(E1, VEH, window=5).value == 1

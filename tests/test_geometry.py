@@ -8,7 +8,6 @@ from ubootstrap.geometry import (
     Arc,
     Direction,
     UNormContext,
-    arc_boolean,
     arc_complement,
     arc_contains,
     arc_intersect,
@@ -139,22 +138,22 @@ class TestArcs:
         assert not a.contains(W)
 
     def test_complement_of_full_is_empty(self):
-        assert arc_boolean([Arc.full_circle()], [], "complement") == []
+        assert arc_complement([Arc.full_circle()]) == []
 
     def test_intersect_abutting_closed_arcs_is_point(self):
         a = [Arc(E1, E2)]
         b = [Arc(E2, W)]
-        assert arc_boolean(a, b, "intersect") == [Arc.point(E2)]
+        assert arc_intersect(a, b) == [Arc.point(E2)]
 
     def test_union_of_abutting_closed_arcs_merges(self):
         a = [Arc(E1, E2)]
         b = [Arc(E2, W)]
-        assert arc_boolean(a, b, "union") == [Arc(E1, W)]
+        assert arc_union(a, b) == [Arc(E1, W)]
 
     def test_union_of_open_abutting_leaves_hole(self):
         a = [Arc(E1, E2, True, False)]
         b = [Arc(E2, W, False, True)]
-        got = arc_boolean(a, b, "union")
+        got = arc_union(a, b)
         assert got == [Arc(E1, E2, True, False), Arc(E2, W, False, True)]
         assert not arc_contains(got, E2)
 

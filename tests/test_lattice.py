@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ubootstrap import lattice
 from ubootstrap.families import builtin
 from ubootstrap.family import UpdateFamily
 from ubootstrap.geometry import Direction
@@ -10,6 +11,7 @@ from ubootstrap.lattice import (
     Box,
     HalfPlane,
     OriginOutsideWindowError,
+    StripUnresolvedError,
     StripVerdict,
     Torus,
     Window,
@@ -182,17 +184,17 @@ class TestInfectionTime:
 
 class TestStripMachine:
     def test_two_neighbour_line_fills(self):
-        assert strip_line_decision(E1, [(0, 0)], U2, 4, "plus") is StripVerdict.INFINITE_LINE
-        assert strip_line_decision(E1, [(0, 0)], U2, 4, "minus") is StripVerdict.INFINITE_LINE
+        assert strip_line_decision(E1, [(0, 0)], U2, "plus") is StripVerdict.INFINITE_LINE
+        assert strip_line_decision(E1, [(0, 0)], U2, "minus") is StripVerdict.INFINITE_LINE
 
     def test_stable_halfplane_closed(self):
-        assert strip_line_decision(E1, [], U2, 4, "plus") is StripVerdict.FINITE_LINE
+        assert strip_line_decision(E1, [], U2, "plus") is StripVerdict.FINITE_LINE
 
     def test_duarte_one_way(self):
-        assert strip_line_decision(E2, [(0, 0)], DUARTE, 4, "plus") is StripVerdict.INFINITE_LINE
-        assert strip_line_decision(E2, [(0, 0)], DUARTE, 4, "minus") is StripVerdict.FINITE_LINE
+        assert strip_line_decision(E2, [(0, 0)], DUARTE, "plus") is StripVerdict.INFINITE_LINE
+        assert strip_line_decision(E2, [(0, 0)], DUARTE, "minus") is StripVerdict.FINITE_LINE
 
-    def test_verdicts_stable_under_bigger_budgets(self):
+    def test_verdicts_stable_under_bigger_budgets(self, monkeypatch):
         for fam, u, Z in [
             (U2, E1, [(0, 0)]),
             (DUARTE, E2, [(0, 0)]),
@@ -200,14 +202,21 @@ class TestStripMachine:
             (builtin("asym-balanced"), E1, [(0, 0)]),
             (builtin("van-enter-hulshof"), E2, [(0, 0), (1, 0)]),
         ]:
-            small = strip_scan(u, Z, fam, 8)
-            big = strip_scan(u, Z, fam, 16, max_columns=8192)
+            small = strip_scan(u, Z, fam)
+            with monkeypatch.context() as m:
+                m.setattr(lattice, "MAX_COLUMNS", 8192)
+                big = strip_scan(u, Z, fam)
             assert small.verdict_plus == big.verdict_plus
             assert small.verdict_minus == big.verdict_minus
 
+    def test_column_budget_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(lattice, "MAX_COLUMNS", 4)
+        with pytest.raises(StripUnresolvedError):
+            strip_scan(E1, [(0, 0)], U2)
+
     def test_periodic_segment_repeats_forward(self):
         # semi-periodicity: the detected period's column pattern extends
-        scan = strip_scan(E1, [(0, 0)], U2, 6)
+        scan = strip_scan(E1, [(0, 0)], U2)
         assert scan.verdict_plus is StripVerdict.INFINITE_LINE
         assert scan.period_plus is not None
         j0, r = scan.period_plus
@@ -226,28 +235,31 @@ class TestStripMachine:
             assert col_pattern(j0 + m) == col_pattern(j0 + m % r)
 
     def test_unstable_direction_is_trivially_infinite(self):
-        assert strip_line_decision(Direction(1, 1), [], U2, 4, "plus") is StripVerdict.INFINITE_LINE
+        assert strip_line_decision(Direction(1, 1), [], U2, "plus") is StripVerdict.INFINITE_LINE
 
-    def test_band_exceeded_for_witness_above_band(self):
-        v = strip_line_decision(E2, [(0, 9)], DUARTE, 4, "plus")
-        assert v is StripVerdict.BAND_EXCEEDED
+    def test_high_witness_is_scanned(self):
+        # a lone site far above the line leaves it finite on both sides
+        scan = strip_scan(E2, [(0, 9)], DUARTE)
+        assert scan.verdict_plus is StripVerdict.FINITE_LINE
+        assert scan.verdict_minus is StripVerdict.FINITE_LINE
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_stable_growth_stays_below_highest_witness_line(self, data):
-        # the lemma behind the band: next to a stable half-plane, a site
-        # above every infected line has no support
+        # the lemma behind the strip's height: next to a stable half-plane,
+        # a site above every infected line has no support.  strip_scan stops
+        # at that line, so the lemma is checked on a box closure, which
+        # does not
         fam = data.draw(SMALL_FAMILIES)
         u = data.draw(st.sampled_from([E1, E2, Direction(-1, 0), Direction(1, 1), Direction(1, -2)]))
         Z = [z for z in data.draw(st.lists(st.sampled_from(OFFSETS), max_size=3)) if u.dot(z) >= 0]
         assume(all(any(u.dot(x) >= 0 for x in rule) for rule in fam.rules))
-        scan = strip_scan(u, Z, fam, 8)
         top = max((u.dot(z) for z in Z), default=-1)
-        assert all(0 <= u.dot(s) <= top for s in scan.infected)
-        assert not scan.blocked_above
-        assert StripVerdict.BAND_EXCEEDED not in (scan.verdict_plus, scan.verdict_minus)
+        grown = closure(Z, Window(Box.radius(10), HalfPlane(u, 0)), fam)
+        assert all(0 <= u.dot(s) <= top for s in grown)
+        assert all(0 <= u.dot(s) <= top for s in strip_scan(u, Z, fam).infected)
 
     def test_range_two_rules_periodicity(self):
         # vertical growth jumps by two; the column machine must still settle
         fam = builtin("asym-balanced")
-        assert strip_line_decision(E1, [(0, 0)], fam, 8, "plus") is StripVerdict.INFINITE_LINE
+        assert strip_line_decision(E1, [(0, 0)], fam, "plus") is StripVerdict.INFINITE_LINE

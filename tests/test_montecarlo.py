@@ -97,7 +97,7 @@ class TestEstimatePc:
         est16 = estimate_pc(fam, 16, trials=48, tol=0.01, seed=2)
         est64 = estimate_pc(fam, 64, trials=48, tol=0.01, seed=2)
         assert est64.p_hat < est16.p_hat
-        assert est16.ci_low <= est16.p_hat <= est16.ci_high
+        assert est16.bracket_low <= est16.p_hat <= est16.bracket_high
         # analytic driver: percolates iff all n rows have a seed, so
         # P = (1 - (1-p)^n)^n = 1/2 at p = 1 - (1 - 2^(-1/n))^(1/n) ≈ 0.1793
         analytic = 1 - (1 - 0.5 ** (1.0 / 16)) ** (1.0 / 16)
