@@ -44,7 +44,6 @@ from .lattice import (
     Window,
     closure,
     is_stable,
-    strip_line_decision,
     strip_scan,
 )
 
@@ -205,10 +204,10 @@ class DifficultyResult:
     """Outcome of a bounded difficulty search.
 
     value is an exact integer when a witness was found (then the witness is a
-    voracious set of that cardinality), or INFINITE_WITHIN_WINDOW: a
-    lower-bound verdict meaning no witness of cardinality up to
-    searched_cardinality exists inside the search box, not a proof that the
-    difficulty is infinite.
+    voracious set of that cardinality, the first one in the search's
+    boundary-first order), or INFINITE_WITHIN_WINDOW: a lower-bound verdict
+    meaning no witness of cardinality up to searched_cardinality exists
+    inside the search box, not a proof that the difficulty is infinite.
     """
 
     value: object
@@ -236,13 +235,17 @@ CANDIDATE_CAP = 10 ** 6
 
 
 def _half_sites(u: Direction, window: int) -> list[Site]:
+    """The sites of the radius-``window`` box outside H_u, from the boundary
+    line out: by line index, then by distance from the origin along the
+    line."""
+    a, b = u.a, u.b
     out = [
         (x, y)
         for x in range(-window, window + 1)
         for y in range(-window, window + 1)
         if line_index((x, y), u) >= 0
     ]
-    out.sort()
+    out.sort(key=lambda s: (line_index(s, u), abs(b * s[0] - a * s[1]), b * s[0] - a * s[1]))
     return out
 
 
@@ -260,7 +263,7 @@ def _canonical_translate(Z: tuple[Site, ...], u: Direction) -> frozenset:
 
 def _canonical_witnesses(u: Direction, window: int, k: int):
     """Translation-reduced candidate sets of size k in the search box, in the
-    lexicographic order of the underlying combinations."""
+    lexicographic order of the combinations of ``_half_sites``."""
     a, b = u.a, u.b
     norm2 = a * a + b * b
     sites = _half_sites(u, window)
@@ -279,23 +282,43 @@ def _canonical_witnesses(u: Direction, window: int, k: int):
         yield frozenset((sites[i][0] - steps * b, sites[i][1] + steps * a) for i in combo)
 
 
-@lru_cache(maxsize=None)
-def _difficulty_side_cached(U: UpdateFamily, u: Direction, side: str, window: int,
-                            max_cardinality: int) -> DifficultyResult:
-    if not U.rules:
-        raise EmptyFamilyError("difficulty of an empty family")
-    if not is_stable(u, U):
-        return DifficultyResult(0, window, frozenset(), 0)
-    tested = 0
-    for k in range(1, max_cardinality + 1):
-        for Z in _canonical_witnesses(u, window, k):
-            tested += 1
-            if tested > CANDIDATE_CAP:
-                raise SearchBudgetExceededError(
-                    f"difficulty search for u={u} exceeded {CANDIDATE_CAP} candidates")
-            if strip_line_decision(u, Z, U, side) is StripVerdict.INFINITE_LINE:
-                return DifficultyResult(k, window, Z, k)
-    return DifficultyResult(INFINITE_WITHIN_WINDOW, window, None, max_cardinality)
+class _SideSearch:
+    """Both side searches of one (U, u, window), deepened on demand.  Each
+    candidate gets one strip scan, which decides both sides.  Every
+    candidate of cardinality <= k has been scanned (or both sides found a
+    witness first), and found[0] / found[1] is the first (cardinality,
+    witness) of the plus / minus side, or None."""
+
+    def __init__(self, U: UpdateFamily, u: Direction, window: int):
+        self.U, self.u, self.window = U, u, window
+        self.k = 0
+        self.tested = 0
+        self.found: list = [None, None]
+
+    def deepen(self, max_cardinality: int) -> None:
+        # a level is committed only once it ends, so a search that raised
+        # can be deepened again
+        while self.k < max_cardinality and None in self.found:
+            k = self.k + 1
+            found = list(self.found)
+            tested = self.tested
+            for Z in _canonical_witnesses(self.u, self.window, k):
+                tested += 1
+                if tested > CANDIDATE_CAP:
+                    raise SearchBudgetExceededError(
+                        f"difficulty search for u={self.u} exceeded {CANDIDATE_CAP} candidates")
+                scan = strip_scan(self.u, Z, self.U)
+                for i, verdict in enumerate((scan.verdict_plus, scan.verdict_minus)):
+                    if found[i] is None and verdict is StripVerdict.INFINITE_LINE:
+                        found[i] = (k, Z)
+                if None not in found:
+                    break
+            self.k, self.tested, self.found = k, tested, found
+
+
+@lru_cache(maxsize=4096)
+def _side_search(U: UpdateFamily, u: Direction, window: int) -> _SideSearch:
+    return _SideSearch(U, u, window)
 
 
 def difficulty_side(u: Direction, side: str, U: UpdateFamily, window: int = 8,
@@ -306,7 +329,16 @@ def difficulty_side(u: Direction, side: str, U: UpdateFamily, window: int = 8,
     u)."""
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    return _difficulty_side_cached(U, u, side, window, max_cardinality)
+    if not U.rules:
+        raise EmptyFamilyError("difficulty of an empty family")
+    if not is_stable(u, U):
+        return DifficultyResult(0, window, frozenset(), 0)
+    search = _side_search(U, u, window)
+    search.deepen(max_cardinality)
+    hit = search.found[side == "minus"]
+    if hit is not None and hit[0] <= max_cardinality:
+        return DifficultyResult(hit[0], window, hit[1], hit[0])
+    return DifficultyResult(INFINITE_WITHIN_WINDOW, window, None, max_cardinality)
 
 
 def difficulty(u: Direction, U: UpdateFamily, window: int = 8,

@@ -4,8 +4,14 @@ half-plane-assisted strips.
 One frontier kernel, ``_grow``, computes every exact closure on Python sets:
 ``closure`` runs it in a box (optionally next to an infected half-plane and
 inside a region), and ``strip_scan`` runs it in the strip next to H_u, column
-window by column window.  ``closure_rescan`` is a naive full-rescan fixed
-point kept as the independent oracle for the kernel and the sweeps.
+window by column window.  The kernel sees a family in compiled form
+(``_compile_family``): its neighbourhood N, the union of its rules, plus a
+memo from masks over N (which offsets of a site are infected) to whether
+some rule fires, filled lazily from the rules' own masks.  A candidate site
+then costs |N| lookups and one memo read, however many rules the family
+has.
+``closure_rescan`` is a naive full-rescan fixed point over the rules, kept as
+the independent oracle for the kernel and the sweeps.
 Synchronous numpy sweeps run the torus and blocked-window dynamics of the
 Monte Carlo harness.  Closure is update-order independent by monotonicity,
 so the kernel and the sweeps must agree exactly; infection times are
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -88,12 +95,57 @@ def rule_offsets(U) -> list[tuple[tuple[int, int], ...]]:
 
 
 # ---------------------------------------------------------------------------
-# the frontier closure kernel
+# the compiled family and the frontier closure kernel
 
 
-def _grow(inf: set[Site], sources: Iterable[Site], rules, half: tuple[int, int, int],
+class _FireMemo(dict):
+    """Mask over a neighbourhood -> whether it covers some rule's mask."""
+
+    def __init__(self, rule_masks: tuple[int, ...]):
+        super().__init__()
+        self.rule_masks = rule_masks
+
+    def __missing__(self, mask: int) -> bool:
+        fire = any(r & mask == r for r in self.rule_masks)
+        self[mask] = fire
+        return fire
+
+
+@dataclass(frozen=True)
+class _CompiledFamily:
+    """A family as its neighbourhood N plus the fire memo: bit i of a mask
+    stands for the offset hood[i]."""
+
+    hood: tuple[Site, ...]
+    fires: _FireMemo
+
+
+@lru_cache(maxsize=256)
+def _compile_family(U) -> _CompiledFamily:
+    hood = tuple(sorted(set().union(*U.rules)))
+    bit = {x: 1 << i for i, x in enumerate(hood)}
+    return _CompiledFamily(hood, _FireMemo(tuple(sum(bit[x] for x in rule) for rule in U.rules)))
+
+
+@lru_cache(maxsize=256)
+def _kernel_hood(U, normals) -> tuple[tuple, _FireMemo]:
+    """_grow's view of U under the half-plane normal and the two band normals.
+    For each offset x of N: x with its three projections, the bit of x, and
+    every other offset of N as (bit, x, y, projection on the half-plane
+    normal) for building a candidate's mask; then the fire memo."""
+    (a, b), (a0, b0), (a1, b1) = normals
+    fam = _compile_family(U)
+    lifted = [(1 << i, ex, ey, a * ex + b * ey) for i, (ex, ey) in enumerate(fam.hood)]
+    hood = tuple((dx, dy, a * dx + b * dy, a0 * dx + b0 * dy, a1 * dx + b1 * dy, 1 << i,
+                  tuple(lifted[:i] + lifted[i + 1:]))
+                 for i, (dx, dy) in enumerate(fam.hood))
+    return hood, fam.fires
+
+
+def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int],
           bands, region: Optional[set[Site]] = None) -> list[Site]:
-    """Grow ``inf`` in place to its closure; return the added sites in order.
+    """Grow ``inf`` in place to its closure under U; return the added sites
+    in order.
 
     ``half = (a, b, off)``: sites with a*x + b*y < off count as infected and
     are never added ((0, 0, 0) means no half-plane).  ``bands`` holds two
@@ -101,27 +153,20 @@ def _grow(inf: set[Site], sources: Iterable[Site], rules, half: tuple[int, int, 
     are added, and only sites of ``region`` when it is given.
 
     ``sources`` are the sites whose neighbourhoods need examining: every site
-    of ``inf`` that may support a new one.  A candidate s - x is only tested
-    against the rules containing x: a rule fires once its last support site
-    is examined.
+    of ``inf`` that may support a new one.  Each site c = s - x, for x in the
+    neighbourhood N, is a candidate; its mask (which of its N-offsets are
+    infected; x is, through s) is looked up in the family's fire memo, so a
+    rule fires once its last support site is examined.
     """
     a, b, off = half
     (a0, b0, lo0, hi0), (a1, b1, lo1, hi1) = bands
-    # each neighbourhood offset with its projections on the three normals and
-    # the rules that contain it, their sites lifted onto the half-plane normal
-    by_offset: dict[Site, list] = {}
-    for rule in rules:
-        lifted = tuple((ex, ey, a * ex + b * ey) for ex, ey in rule)
-        for x in rule:
-            by_offset.setdefault(x, []).append(lifted)
-    hood = [(dx, dy, a * dx + b * dy, a0 * dx + b0 * dy, a1 * dx + b1 * dy, rs)
-            for (dx, dy), rs in by_offset.items()]
+    hood, fires = _kernel_hood(U, ((a, b), (a0, b0), (a1, b1)))
     frontier = list(sources)
     start = len(frontier)
     # the list grows while it is iterated: a FIFO queue without a deque
     for sx, sy in frontier:
         sh, s0, s1 = a * sx + b * sy, a0 * sx + b0 * sy, a1 * sx + b1 * sy
-        for dx, dy, dh, d0, d1, rs in hood:
+        for dx, dy, dh, d0, d1, mask, others in hood:
             c = (sx - dx, sy - dy)
             if c in inf:
                 continue
@@ -137,14 +182,13 @@ def _grow(inf: set[Site], sources: Iterable[Site], rules, half: tuple[int, int, 
             if region is not None and c not in region:
                 continue
             cx, cy = c
-            for rule in rs:
-                for ex, ey, eh in rule:
-                    if ch + eh >= off and (cx + ex, cy + ey) not in inf:
-                        break
-                else:
-                    inf.add(c)
-                    frontier.append(c)
-                    break
+            below = off - ch  # an offset e is in the half-plane iff e's projection < below
+            for bit, ex, ey, eh in others:
+                if eh < below or (cx + ex, cy + ey) in inf:
+                    mask |= bit
+            if fires[mask]:
+                inf.add(c)
+                frontier.append(c)
     return frontier[start:]
 
 
@@ -159,21 +203,21 @@ def closure(A: Iterable[Site], w: Window, U, region: Optional[set[Site]] = None)
     box = w.shape
     if not isinstance(box, Box):
         raise ValueError("closure needs a Box window; use torus_closure_grid on a torus")
-    rules = rule_offsets(U)
+    hood = _compile_family(U).hood
     hp = w.boundary
     half = (hp.u.a, hp.u.b, hp.offset) if hp is not None else (0, 0, 0)
     a, b, off = half
     inf = {s for s in A if box.contains(s) and a * s[0] + b * s[1] >= off}
     sources = list(inf)
-    if hp is not None and rules:
+    if hp is not None and hood:
         # the half-plane's sites within reach of the box can support a site
         # above it: they enter as sources like any infected site
-        depth = max(abs(a * dx + b * dy) for rule in rules for dx, dy in rule)
-        r = max(max(abs(dx), abs(dy)) for rule in rules for dx, dy in rule)
+        depth = max(abs(a * dx + b * dy) for dx, dy in hood)
+        r = max(max(abs(dx), abs(dy)) for dx, dy in hood)
         sources += [(x, y) for x in range(box.x0 - r, box.x1 + r)
                     for y in range(box.y0 - r, box.y1 + r)
                     if off - depth <= a * x + b * y < off]
-    _grow(inf, sources, rules, half, ((1, 0, box.x0, box.x1), (0, 1, box.y0, box.y1)), region)
+    _grow(inf, sources, U, half, ((1, 0, box.x0, box.x1), (0, 1, box.y0, box.y1)), region)
     return inf
 
 
@@ -342,6 +386,15 @@ def is_stable(u: Direction, U) -> bool:
     return all(any(u.dot(x) >= 0 for x in rule) for rule in U.rules)
 
 
+@lru_cache(maxsize=1024)
+def _column_width(u: Direction, U) -> Optional[int]:
+    """The strip's column width for a stable u: twice the reach of N along
+    the boundary line; None when u is unstable."""
+    if not is_stable(u, U):
+        return None
+    return 2 * max([1] + [abs(u.b * dx - u.a * dy) for dx, dy in _compile_family(U).hood])
+
+
 def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
     """Simulate [H_u ∪ Z] next to the boundary line and resolve, for each
     horizontal direction, whether the infection marches forever (detected by
@@ -359,18 +412,13 @@ def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
     if any(idx(z) < 0 for z in Z):
         raise ValueError("witness set must avoid the half-plane")
 
-    if not is_stable(u, U):
+    W = _column_width(u, U)
+    if W is None:
         # the half-plane alone fills everything
         return StripScan(StripVerdict.INFINITE_LINE, StripVerdict.INFINITE_LINE,
                          set(Z), 1, (0, 1), (0, 1))
 
     top = max(map(idx, Z), default=-1) + 1
-    rules = rule_offsets(U)
-    reach_c = 1
-    for rule in rules:
-        for dx, dy in rule:
-            reach_c = max(reach_c, abs(b * dx - a * dy))
-    W = 2 * reach_c
 
     infected: set[Site] = set(Z)
 
@@ -379,7 +427,7 @@ def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
     fronts = [max(cz), min(cz)]
 
     def run_fixpoint(seeds):
-        added = _grow(infected, seeds, rules, (a, b, 0), ((a, b, 0, top), (b, -a, -C, C + 1)))
+        added = _grow(infected, seeds, U, (a, b, 0), ((a, b, 0, top), (b, -a, -C, C + 1)))
         if added:
             cs = [b * x - a * y for x, y in added]
             fronts[0] = max(fronts[0], max(cs))
@@ -480,12 +528,3 @@ def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
         run_fixpoint(edge)
 
     return StripScan(verdict_plus, verdict_minus, infected, W, period_plus, period_minus)
-
-
-def strip_line_decision(u: Direction, Z: Iterable[Site], U, side: str) -> StripVerdict:
-    """Decide whether [H_u ∪ Z] meets the boundary line infinitely often on
-    the requested side (plus = rightward looking along u, minus = leftward)."""
-    if side not in ("plus", "minus"):
-        raise ValueError(f"unknown side {side!r}")
-    scan = strip_scan(u, Z, U)
-    return scan.verdict_plus if side == "plus" else scan.verdict_minus

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -77,6 +78,11 @@ class PcEstimate:
 
 @dataclass(frozen=True)
 class TauStats:
+    """Infection times of the finished trials (sorted) and the number of
+    timeouts.  The quantiles are over all trials, each timeout right-censored
+    at t_max: a quantile that falls on a censored trial is math.inf, meaning
+    "> t_max"."""
+
     taus: tuple
     timeouts: int
     t_max: int
@@ -191,15 +197,20 @@ def percolation_probability(cfg: TrialConfig) -> Fraction01:
 # critical probability by bisection
 
 
-def _perc_fraction_batched(fam, n, p, seed, eval_idx, trials, batch=32):
+def _perc_fraction_batched(fam, n, p, seed, eval_idx, trials, pool, batch=32):
     """Sequential batches with a deterministic early stop once the Wilson
-    interval separates from one half."""
+    interval separates from one half.  The trials run on ``pool`` (in this
+    process when it is None)."""
     done = 0
     succ = 0
     while done < trials:
         take = min(batch, trials - done)
         args = [(fam, n, p, seed, (eval_idx << 24) | (done + i)) for i in range(take)]
-        succ += sum(bool(r) for r in parallel_map(_perc_trial, args))
+        if pool is None:
+            results = map(_perc_trial, args)
+        else:
+            results = pool.map(_perc_trial, args, chunksize=max(1, take // (4 * worker_count())))
+        succ += sum(bool(r) for r in results)
         done += take
         lo, hi = wilson_interval(succ, done)
         if done >= 2 * batch and (hi < 0.5 or lo > 0.5):
@@ -210,26 +221,29 @@ def _perc_fraction_batched(fam, n, p, seed, eval_idx, trials, batch=32):
 def estimate_pc(family: UpdateFamily, n: int, trials: int = 64, tol: float = 0.004,
                 seed: int = 0, max_evals: int = 40) -> PcEstimate:
     """Bisection for the density where the percolation probability crosses
-    one half; the true curve is monotone in p, which justifies bisection."""
+    one half; the true curve is monotone in p, which justifies bisection.
+    One worker pool serves every evaluation of the call."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = 0.0, 1.0
     evals = []
     used = 0
     k = 0
-    while hi - lo > tol:
-        if k >= max_evals:
-            raise BudgetExhaustedError(
-                f"bisection budget exhausted at bracket [{lo}, {hi}]", bracket=(lo, hi))
-        mid = (lo + hi) / 2
-        succ, done = _perc_fraction_batched(family, n, mid, seed, k, trials)
-        used += done
-        evals.append((mid, succ, done))
-        if succ / done >= 0.5:
-            hi = mid
-        else:
-            lo = mid
-        k += 1
+    workers = worker_count()
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        while hi - lo > tol:
+            if k >= max_evals:
+                raise BudgetExhaustedError(
+                    f"bisection budget exhausted at bracket [{lo}, {hi}]", bracket=(lo, hi))
+            mid = (lo + hi) / 2
+            succ, done = _perc_fraction_batched(family, n, mid, seed, k, trials, pool)
+            used += done
+            evals.append((mid, succ, done))
+            if succ / done >= 0.5:
+                hi = mid
+            else:
+                lo = mid
+            k += 1
     return PcEstimate(n, (lo + hi) / 2, lo, hi, used, tuple(evals))
 
 
@@ -279,16 +293,24 @@ def sample_tau(family: UpdateFamily, p: float, trials: int, t_max: int,
     horizon = effective_t_max(family, t_max, r_cap)
     args = [(family, p, seed, t, horizon, r0, r_cap, nu_val) for t in range(trials)]
     results = parallel_map(_tau_trial, args)
-    taus = [r for r in results if r is not None]
-    timeouts = sum(1 for r in results if r is None)
-    if taus:
-        arr = np.array(sorted(taus), dtype=float)
-        med = float(np.median(arr))
-        q1 = float(np.percentile(arr, 25))
-        q3 = float(np.percentile(arr, 75))
-    else:
-        med = q1 = q3 = math.nan
-    return TauStats(tuple(sorted(taus)), timeouts, horizon, med, q1, q3)
+    taus = sorted(r for r in results if r is not None)
+    timeouts = len(results) - len(taus)
+    q1, med, q3 = (_censored_quantile(taus, len(results), q) for q in (0.25, 0.5, 0.75))
+    return TauStats(tuple(taus), timeouts, horizon, med, q1, q3)
+
+
+def _censored_quantile(taus: Sequence[int], trials: int, q: float) -> float:
+    """The q-quantile of ``trials`` infection times by numpy's default
+    (linear) rule, where ``taus`` are the sorted finished ones and the rest
+    timed out, so they sort last: math.inf when the quantile needs a timed
+    out trial, nan when there are no trials."""
+    if trials == 0:
+        return math.nan
+    h = (trials - 1) * q
+    lo, hi = math.floor(h), math.ceil(h)
+    if hi >= len(taus):
+        return math.inf
+    return float(taus[lo] + (taus[hi] - taus[lo]) * (h - lo))
 
 
 # ---------------------------------------------------------------------------

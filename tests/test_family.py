@@ -1,6 +1,8 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ubootstrap import family
 from ubootstrap.families import builtin
@@ -28,6 +30,7 @@ from ubootstrap.family import (
     voracious_check,
 )
 from ubootstrap.geometry import Direction, ccw_key, cross, dot_sign, sort_directions
+from ubootstrap.lattice import StripVerdict, strip_scan
 
 U2 = builtin("two-neighbour")
 DUARTE = builtin("duarte")
@@ -35,6 +38,10 @@ VEH = builtin("van-enter-hulshof")
 R1 = builtin("r1")
 R3 = builtin("r3")
 E1, E2 = Direction(1, 0), Direction(0, 1)
+# 1-4 rules of 1-3 sites within radius 2
+OFFSETS = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+SMALL_FAMILIES = st.lists(st.lists(st.sampled_from(OFFSETS), min_size=1, max_size=3),
+                          min_size=1, max_size=4).map(UpdateFamily.of)
 
 
 def sample_directions(count):
@@ -138,6 +145,59 @@ class TestDifficulty:
         with pytest.raises(SearchBudgetExceededError):
             difficulty_side(E1, "plus", builtin("gg-two"), window=7, max_cardinality=2)
 
+    def test_each_candidate_scanned_once(self, monkeypatch):
+        # one strip scan decides both sides, and deepening the search
+        # continues from the last cardinality searched; a name no other test
+        # uses keeps the cached searches out
+        calls = []
+
+        def counted(u, Z, U):
+            calls.append((u, frozenset(Z)))
+            return strip_scan(u, Z, U)
+
+        monkeypatch.setattr(family, "strip_scan", counted)
+        gg = builtin("gg-two")
+        c = classify(UpdateFamily.of(gg.rules, name="gg-two-scan-count"))
+        assert c.alpha == 2 and c.balanced
+        assert calls and len(calls) == len(set(calls))
+
+    @given(SMALL_FAMILIES, st.sampled_from(sample_directions(16)))
+    # (0, 0) marches right only and (0, 1) both ways: the plus witness comes
+    # first, and the search must go on for the minus one at the same size
+    @example(UpdateFamily.of([[(-2, 0), (0, -1)], [(1, 0), (2, 0), (0, -1)],
+                              [(1, 1), (0, -1)], [(0, 1), (0, -1)]]), E2)
+    @settings(max_examples=25, deadline=None)
+    def test_search_matches_per_side_oracle(self, U, u):
+        # the oracle is the search as it was before it shared scans: the
+        # box's sites in (x, y) order, their combinations in lexicographic
+        # order reduced under translation along the line, and one strip
+        # scan per candidate and side
+        window, cap = 3, 2
+        sites = [(x, y) for x in range(-window, window + 1)
+                 for y in range(-window, window + 1) if u.dot((x, y)) >= 0]
+
+        def oracle(side):
+            if not is_stable(u, U):
+                return 0
+            for k in range(1, cap + 1):
+                seen = set()
+                for combo in itertools.combinations(sites, k):
+                    Z = family._canonical_translate(combo, u)
+                    if Z in seen:
+                        continue
+                    seen.add(Z)
+                    scan = strip_scan(u, Z, U)
+                    if getattr(scan, "verdict_" + side) is StripVerdict.INFINITE_LINE:
+                        return k
+            return INFINITE_WITHIN_WINDOW
+
+        for side in ("plus", "minus"):
+            r = difficulty_side(u, side, U, window, cap)
+            assert r.value == oracle(side), side
+            if r.resolved and r.value > 0:
+                scan = strip_scan(u, r.witness, U)
+                assert getattr(scan, "verdict_" + side) is StripVerdict.INFINITE_LINE
+
     def test_veh_axis_difficulties(self):
         assert difficulty(E1, VEH, window=5).value == 1
         r = difficulty(E2, VEH, window=5)
@@ -201,6 +261,23 @@ class TestClassification:
             for d in (c.u_star, c.u_star.neg()):
                 r = difficulty(d, builtin(name), window=6, max_cardinality=c.alpha)
                 assert r.value is INFINITE_WITHIN_WINDOW or r.value > c.alpha
+
+    @pytest.mark.parametrize("R,K", [(2, K) for K in range(2, 6)] + [(3, K) for K in range(3, 8)])
+    def test_cross_threshold_closed_form(self, R, K):
+        # radius-R cross, any K of its 4R sites: an axis direction has R
+        # sites in its open half-plane and every other direction 2R, so the
+        # family is supercritical for K <= R, subcritical for K > 2R, and in
+        # between critical and balanced with alpha = K - R
+        cross_sites = [(i * s, 0) for i in range(1, R + 1) for s in (1, -1)] + \
+                      [(0, i * s) for i in range(1, R + 1) for s in (1, -1)]
+        c = classify(UpdateFamily.of(itertools.combinations(cross_sites, K)))
+        if K <= R:
+            assert c.kind is Kind.SUPERCRITICAL
+        elif K > 2 * R:
+            assert c.kind is Kind.SUBCRITICAL
+        else:
+            assert c.kind is Kind.CRITICAL
+            assert c.alpha == K - R and c.balanced
 
     def test_symmetry_covariance(self):
         # kind, alpha and balancedness are invariant under the 8 symmetries

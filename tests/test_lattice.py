@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +21,6 @@ from ubootstrap.lattice import (
     closure_rescan,
     infection_time,
     percolates,
-    strip_line_decision,
     strip_scan,
     torus_closure_grid,
 )
@@ -92,6 +93,16 @@ class TestClosure:
             for d in (E1, E2, Direction(-1, 0), Direction(1, -1), Direction(-1, 2), Direction(3, 1)):
                 w = Window(w_box, HalfPlane(d, 1))
                 assert closure([], w, fam) == closure_rescan([], w, fam), (x, d)
+
+    def test_large_neighbourhood_matches_rescan(self):
+        # 24 offsets: masks over the neighbourhood go past 20 bits
+        moore2 = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+        fam = UpdateFamily.of(itertools.combinations(moore2, 2))
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            pts = {(int(x), int(y)) for x, y in rng.integers(-9, 10, size=(4, 2))}
+            w = Window(Box(-10, -10, 11, 11))
+            assert closure(pts, w, fam) == closure_rescan(pts, w, fam)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
@@ -184,15 +195,19 @@ class TestInfectionTime:
 
 class TestStripMachine:
     def test_two_neighbour_line_fills(self):
-        assert strip_line_decision(E1, [(0, 0)], U2, "plus") is StripVerdict.INFINITE_LINE
-        assert strip_line_decision(E1, [(0, 0)], U2, "minus") is StripVerdict.INFINITE_LINE
+        scan = strip_scan(E1, [(0, 0)], U2)
+        assert scan.verdict_plus is StripVerdict.INFINITE_LINE
+        assert scan.verdict_minus is StripVerdict.INFINITE_LINE
 
     def test_stable_halfplane_closed(self):
-        assert strip_line_decision(E1, [], U2, "plus") is StripVerdict.FINITE_LINE
+        scan = strip_scan(E1, [], U2)
+        assert scan.verdict_plus is StripVerdict.FINITE_LINE
+        assert scan.verdict_minus is StripVerdict.FINITE_LINE
 
     def test_duarte_one_way(self):
-        assert strip_line_decision(E2, [(0, 0)], DUARTE, "plus") is StripVerdict.INFINITE_LINE
-        assert strip_line_decision(E2, [(0, 0)], DUARTE, "minus") is StripVerdict.FINITE_LINE
+        scan = strip_scan(E2, [(0, 0)], DUARTE)
+        assert scan.verdict_plus is StripVerdict.INFINITE_LINE
+        assert scan.verdict_minus is StripVerdict.FINITE_LINE
 
     def test_verdicts_stable_under_bigger_budgets(self, monkeypatch):
         for fam, u, Z in [
@@ -235,7 +250,9 @@ class TestStripMachine:
             assert col_pattern(j0 + m) == col_pattern(j0 + m % r)
 
     def test_unstable_direction_is_trivially_infinite(self):
-        assert strip_line_decision(Direction(1, 1), [], U2, "plus") is StripVerdict.INFINITE_LINE
+        scan = strip_scan(Direction(1, 1), [], U2)
+        assert scan.verdict_plus is StripVerdict.INFINITE_LINE
+        assert scan.verdict_minus is StripVerdict.INFINITE_LINE
 
     def test_high_witness_is_scanned(self):
         # a lone site far above the line leaves it finite on both sides
@@ -262,4 +279,4 @@ class TestStripMachine:
     def test_range_two_rules_periodicity(self):
         # vertical growth jumps by two; the column machine must still settle
         fam = builtin("asym-balanced")
-        assert strip_line_decision(E1, [(0, 0)], fam, "plus") is StripVerdict.INFINITE_LINE
+        assert strip_scan(E1, [(0, 0)], fam).verdict_plus is StripVerdict.INFINITE_LINE

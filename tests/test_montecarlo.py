@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -107,6 +108,23 @@ class TestEstimatePc:
         est = estimate_pc(U2, 64, trials=48, tol=0.008, seed=4)
         assert 0.2 <= est.p_hat * math.log(64) <= 0.6
 
+    def test_deterministic_across_workers(self):
+        # one pool per call runs the same trials in the same batches as the
+        # serial path, and no worker outlives the call
+        old = os.environ.get("UBP_THREADS")
+        try:
+            os.environ["UBP_THREADS"] = "1"
+            a = estimate_pc(U2, 24, trials=64, tol=0.02, seed=6)
+            os.environ["UBP_THREADS"] = "2"
+            b = estimate_pc(U2, 24, trials=64, tol=0.02, seed=6)
+        finally:
+            if old is None:
+                os.environ.pop("UBP_THREADS", None)
+            else:
+                os.environ["UBP_THREADS"] = old
+        assert a == b
+        assert multiprocessing.active_children() == []
+
 
 class TestSampleTau:
     def test_p_one_tau_zero(self):
@@ -115,7 +133,17 @@ class TestSampleTau:
 
     def test_p_zero_all_timeout(self):
         stats = sample_tau(U2, 0.0, trials=10, t_max=10, seed=1)
-        assert stats.timeouts == 10 and math.isnan(stats.median)
+        assert stats.timeouts == 10 and stats.median == math.inf
+
+    def test_timeouts_are_right_censored(self):
+        # east rule: P(tau <= 40) = 1 - 0.99^41 ~ 0.34 at p = 0.01, so the
+        # median is above t_max; 10 of these 16 trials time out
+        east = UpdateFamily.of([[(1, 0)]], name="east")
+        stats = sample_tau(east, 0.01, trials=16, t_max=40, seed=1)
+        assert stats.timeouts == 10 and stats.taus == (9, 9, 17, 22, 36, 40)
+        assert stats.median == math.inf and stats.q3 == math.inf
+        # the lower quartile falls between the 4th and 5th finished times
+        assert stats.q1 == 22 + 0.75 * (36 - 22)
 
     def test_matches_direct_window_simulation(self):
         # adaptive windows agree with one big light-cone-safe window
