@@ -23,7 +23,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .geometry import Direction, Site, ccw_key, cross, line_index, sort_directions
-from .lattice import Box, HalfPlane, Window, closure
+from .lattice import Box, HalfPlane, Window, _compile_family, closure
 
 
 class UnboundedDropletError(ValueError):
@@ -387,12 +387,6 @@ class CoverResult:
     ancestors: list[list[Droplet]]  # per output droplet: its whole merge tree
     d_hat: Droplet
 
-    def all_droplets(self) -> list[Droplet]:
-        out = []
-        for anc in self.ancestors:
-            out.extend(anc)
-        return out
-
 
 def _bridge_kernel(kappa: float, d_hat) -> OGrid:
     """Offsets v with (v + d_hat) within kappa of the origin: the kernel whose
@@ -583,7 +577,7 @@ def is_u_crossed(u: Direction, strip, A: Iterable[Site], U, kappa: float) -> boo
     top = max(line_index(s, u) for s in sites)
     face = {s for s in sites if line_index(s, u) == top}
 
-    reach = int(math.ceil(max(math.hypot(dx, dy) for rule in U.rules for dx, dy in rule)))
+    reach = int(math.ceil(max(math.hypot(dx, dy) for dx, dy in _compile_family(U).hood)))
     region = {(sx + dx, sy + dy) for sx, sy in sites
               for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)
               if line_index((sx + dx, sy + dy), u) >= offset}

@@ -22,9 +22,8 @@ from .geometry import (
     Direction,
     Site,
     UNormContext,
-    arc_complement,
+    _assemble,
     arc_intersect,
-    arc_union,
     ccw_key,
     closed_semicircle,
     cross,
@@ -33,7 +32,6 @@ from .geometry import (
     line_index,
     open_semicircle,
     rotate,
-    site_instability_arc,
     sort_directions,
     u_norm,
 )
@@ -42,6 +40,7 @@ from .lattice import (
     HalfPlane,
     StripVerdict,
     Window,
+    _compile_family,
     closure,
     is_stable,
     strip_scan,
@@ -109,12 +108,6 @@ class UpdateFamily:
             name=name or self.name,
         )
 
-    def all_sites(self) -> set[Site]:
-        out = set()
-        for rule in self.rules:
-            out |= rule
-        return out
-
     def __repr__(self):
         return f"UpdateFamily({self.name or len(self.rules)} rules={len(self.rules)})"
 
@@ -166,23 +159,23 @@ class StableSet:
         return list(self.arcs)
 
 
-def rule_instability_arc(rule: frozenset) -> list[Arc]:
-    """Open arc of directions u with X entirely inside H_u (possibly empty)."""
-    acc = [Arc.full_circle()]
-    for x in rule:
-        acc = arc_intersect(acc, [site_instability_arc(x)])
-        if not acc:
-            break
-    return acc
-
-
 def stable_set(U: UpdateFamily) -> StableSet:
+    """The exact stable set, one ``is_stable`` call per piece of the circle.
+
+    Whether u is stable depends only on which offsets x of N lie inside
+    H_u, that is on the signs of <u, x>, and <u, x> changes sign only at
+    u = +-perp(x).  Those directions (the quasi-stable set) cut the circle
+    into points and open gaps.  On each piece the offsets inside H_u stay
+    the same, so one direction decides the whole piece.  The cuts and their
+    answers are assembled into the normalized arc list.
+    """
     if not U.rules:
         raise EmptyFamilyError("stable set of an empty family")
-    unstable: list[Arc] = []
-    for rule in U.rules:
-        unstable = arc_union(unstable, rule_instability_arc(rule))
-    return StableSet(tuple(arc_complement(unstable)))
+    cuts = quasi_stable_set(U)
+    n = len(cuts)
+    pt_in = [is_stable(d, U) for d in cuts]
+    gap_in = [is_stable(direction_between(cuts[i], cuts[(i + 1) % n]), U) for i in range(n)]
+    return StableSet(tuple(_assemble(cuts, pt_in, gap_in)))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +654,7 @@ def quasi_stable_set(U: UpdateFamily) -> list[Direction]:
     if not U.rules:
         raise EmptyFamilyError("quasi-stable set of an empty family")
     out = set()
-    for x in U.all_sites():
+    for x in _compile_family(U).hood:
         d = Direction.of(x[0], x[1]).perp()
         out.add(d)
         out.add(d.neg())
@@ -799,7 +792,7 @@ def kappa(U: UpdateFamily, c: Classification, rho_hat: float) -> float:
 
 
 def difference_perpendiculars(U: UpdateFamily) -> list[Direction]:
-    pts = list(U.all_sites()) + [(0, 0)]
+    pts = list(_compile_family(U).hood) + [(0, 0)]
     out = set()
     for i in range(len(pts)):
         for j in range(len(pts)):

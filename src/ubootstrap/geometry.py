@@ -123,12 +123,6 @@ def sort_directions(dirs: Iterable[Direction]) -> list[Direction]:
 # integer half-plane primitives
 
 
-def dot_sign(p: Site, u: Direction) -> int:
-    """Sign of the inner product <p, u>, exactly."""
-    d = u.dot(p)
-    return (d > 0) - (d < 0)
-
-
 def line_index(p: Site, u: Direction) -> int:
     """Index j of the discrete line through p perpendicular to u.
 
@@ -291,20 +285,8 @@ def _rebuild(arc_lists: Sequence[Sequence[Arc]], predicate) -> list[Arc]:
     return _assemble(cuts, pt_in, gap_in)
 
 
-def arc_union(a: Sequence[Arc], b: Sequence[Arc]) -> list[Arc]:
-    return _rebuild([a, b], lambda m: m[0] or m[1])
-
-
 def arc_intersect(a: Sequence[Arc], b: Sequence[Arc]) -> list[Arc]:
     return _rebuild([a, b], lambda m: m[0] and m[1])
-
-
-def arc_complement(a: Sequence[Arc]) -> list[Arc]:
-    return _rebuild([a], lambda m: not m[0])
-
-
-def arc_normalize(a: Sequence[Arc]) -> list[Arc]:
-    return _rebuild([a], lambda m: m[0])
 
 
 def open_semicircle(d: Direction) -> Arc:
@@ -314,12 +296,6 @@ def open_semicircle(d: Direction) -> Arc:
 
 def closed_semicircle(d: Direction) -> Arc:
     return Arc(d, d.neg(), True, True)
-
-
-def site_instability_arc(x: Site) -> Arc:
-    """Open semicircle of directions u with <x, u> < 0."""
-    d = Direction.of(x[0], x[1])
-    return Arc(d.perp(), d.perp().neg(), False, False)
 
 
 # ---------------------------------------------------------------------------

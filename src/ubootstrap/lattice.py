@@ -1,21 +1,22 @@
 """Closure engines for bootstrap dynamics on finite windows, tori and
 half-plane-assisted strips.
 
-One frontier kernel, ``_grow``, computes every exact closure on Python sets:
-``closure`` runs it in a box (optionally next to an infected half-plane and
-inside a region), and ``strip_scan`` runs it in the strip next to H_u, column
-window by column window.  The kernel sees a family in compiled form
-(``_compile_family``): its neighbourhood N, the union of its rules, plus a
+Every engine reads a family in one compiled form (``_compile_family``): its
+neighbourhood N, the union of its rules, each rule as indices into N, and a
 memo from masks over N (which offsets of a site are infected) to whether
-some rule fires, filled lazily from the rules' own masks.  A candidate site
-then costs |N| lookups and one memo read, however many rules the family
-has.
-``closure_rescan`` is a naive full-rescan fixed point over the rules, kept as
-the independent oracle for the kernel and the sweeps.
-Synchronous numpy sweeps run the torus and blocked-window dynamics of the
-Monte Carlo harness.  Closure is update-order independent by monotonicity,
-so the kernel and the sweeps must agree exactly; infection times are
-defined by the synchronous sweep.
+some rule fires, filled lazily from the rules' own masks.
+``is_stable`` is one memo read; the frontier kernel ``_grow`` pays |N|
+lookups and one memo read per candidate site, however many rules the family
+has.  ``closure`` runs the kernel in a box (optionally next to an infected
+half-plane and inside a region), and ``strip_scan`` runs it in the strip
+next to H_u, column window by column window, with ``_column_width`` read
+off N.  Synchronous numpy sweeps run the torus and blocked-window dynamics
+of the Monte Carlo harness: one shifted plane per offset of N, ANDed per
+rule.  ``closure_rescan`` stays a naive full-rescan fixed point over the
+rules one by one, kept as the independent oracle for the kernel and the
+sweeps.  Closure is update-order independent by monotonicity, so the kernel
+and the sweeps must agree exactly; infection times are defined by the
+synchronous sweep.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class OriginOutsideWindowError(ValueError):
     pass
 
 
-def rule_offsets(U) -> list[tuple[tuple[int, int], ...]]:
-    return [tuple(sorted(rule)) for rule in U.rules]
-
-
 # ---------------------------------------------------------------------------
 # the compiled family and the frontier closure kernel
 
@@ -113,18 +110,22 @@ class _FireMemo(dict):
 
 @dataclass(frozen=True)
 class _CompiledFamily:
-    """A family as its neighbourhood N plus the fire memo: bit i of a mask
-    stands for the offset hood[i]."""
+    """A family as its neighbourhood N, each rule as the indices of its
+    offsets in N, plus the fire memo: bit i of a mask stands for the offset
+    hood[i]."""
 
     hood: tuple[Site, ...]
+    rule_indices: tuple[tuple[int, ...], ...]
     fires: _FireMemo
 
 
 @lru_cache(maxsize=256)
 def _compile_family(U) -> _CompiledFamily:
     hood = tuple(sorted(set().union(*U.rules)))
-    bit = {x: 1 << i for i, x in enumerate(hood)}
-    return _CompiledFamily(hood, _FireMemo(tuple(sum(bit[x] for x in rule) for rule in U.rules)))
+    index = {x: i for i, x in enumerate(hood)}
+    rule_indices = tuple(tuple(sorted(index[x] for x in rule)) for rule in U.rules)
+    return _CompiledFamily(hood, rule_indices,
+                           _FireMemo(tuple(sum(1 << i for i in r) for r in rule_indices)))
 
 
 @lru_cache(maxsize=256)
@@ -245,14 +246,13 @@ def closure_rescan(A: Iterable[Site], w: Window, U, region: Optional[set[Site]] 
     infected = {wrap(s) for s in A if not in_half(wrap(s))}
     if not isinstance(shape, Torus):
         infected = {s for s in infected if shape.contains(s)}
-    rules = rule_offsets(U)
     changed = True
     while changed:
         changed = False
         for s in sites:
             if s in infected or in_half(s) or (region is not None and s not in region):
                 continue
-            for rule in rules:
+            for rule in U.rules:
                 if all(in_half((s[0] + dx, s[1] + dy)) or occupied_raw((s[0] + dx, s[1] + dy), infected)
                        for dx, dy in rule):
                     infected.add(s)
@@ -284,14 +284,17 @@ def _shift(grid: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 
 def sweep(grid: np.ndarray, U, torus: bool) -> np.ndarray:
-    """One synchronous update; returns the mask of newly infected cells."""
+    """One synchronous update; returns the mask of newly infected cells.
+    The grid is shifted once per offset of N, and each rule ANDs its
+    offsets' planes."""
     shiftf = _roll if torus else _shift
+    fam = _compile_family(U)
+    planes = [shiftf(grid, dx, dy) for dx, dy in fam.hood]
     newly = np.zeros_like(grid)
-    for rule in rule_offsets(U):
-        m = None
-        for dx, dy in rule:
-            s = shiftf(grid, dx, dy)
-            m = s if m is None else (m & s)
+    for first, *rest in fam.rule_indices:
+        m = planes[first]
+        for i in rest:
+            m = m & planes[i]
         newly |= m
     newly &= ~grid
     return newly
@@ -381,9 +384,10 @@ class StripScan:
 
 
 def is_stable(u: Direction, U) -> bool:
-    """True iff no rule fits inside the open half-plane H_u, equivalently
-    every rule has a site with nonnegative inner product with u."""
-    return all(any(u.dot(x) >= 0 for x in rule) for rule in U.rules)
+    """True iff no rule fits inside the open half-plane H_u: the mask of the
+    offsets x of N with <u, x> < 0 fires no rule."""
+    fam = _compile_family(U)
+    return not fam.fires[sum(1 << i for i, x in enumerate(fam.hood) if u.dot(x) < 0)]
 
 
 @lru_cache(maxsize=1024)

@@ -9,7 +9,6 @@ byte-identical no matter how many workers run (UBP_THREADS).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -375,13 +374,3 @@ def _cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def report_json(report: ScalingReport) -> str:
-    return json.dumps({
-        "transform": report.transform,
-        "points": [{"x": x, "statistic": s, "transformed": v} for x, s, v in report.points],
-        "spread": report.spread,
-        "bound": report.bound,
-        "passed": report.passed,
-    }, indent=2, sort_keys=True) + "\n"

@@ -29,7 +29,7 @@ from ubootstrap.family import (
     stable_set,
     voracious_check,
 )
-from ubootstrap.geometry import Direction, ccw_key, cross, dot_sign, sort_directions
+from ubootstrap.geometry import Direction, ccw_key, cross, direction_between, sort_directions
 from ubootstrap.lattice import StripVerdict, strip_scan
 
 U2 = builtin("two-neighbour")
@@ -56,6 +56,11 @@ def sample_directions(count):
                if (a, b) != (0, 0) and math.gcd(abs(a), abs(b)) == 1]
         out = sort_directions(out)
     return out[:count]
+
+
+def stable_by_rules(d, U):
+    """The definition: u is stable iff no rule lies inside H_u."""
+    return all(any(d.dot(x) >= 0 for x in rule) for rule in U.rules)
 
 
 class TestFamilyBasics:
@@ -100,7 +105,21 @@ class TestStability:
         for U in (U2, DUARTE, VEH, R1, R3, builtin("mixed-arc"), builtin("asym-balanced")):
             S = stable_set(U)
             for d in dirs:
-                assert S.contains(d) == is_stable(d, U), (U.name, d)
+                assert S.contains(d) == stable_by_rules(d, U), (U.name, d)
+                assert is_stable(d, U) == stable_by_rules(d, U), (U.name, d)
+
+    @given(SMALL_FAMILIES)
+    @settings(max_examples=60, deadline=None)
+    def test_stable_set_matches_rule_definition_on_random_families(self, U):
+        # every cut direction, one direction inside each gap between
+        # consecutive cuts, and a fixed spread of directions
+        perps = {Direction.of(*x).perp() for rule in U.rules for x in rule}
+        cuts = sort_directions(perps | {d.neg() for d in perps})
+        gaps = [direction_between(cuts[i], cuts[(i + 1) % len(cuts)]) for i in range(len(cuts))]
+        S = stable_set(U)
+        for d in cuts + gaps + sample_directions(360):
+            assert S.contains(d) == stable_by_rules(d, U), d
+            assert is_stable(d, U) == stable_by_rules(d, U), d
 
 
 class TestDifficulty:
@@ -326,7 +345,7 @@ class TestQuasiStable:
                     if inter:
                         continue
                 ok = any(
-                    all(dot_sign(x, u) <= 0 and dot_sign(x, v) <= 0 for x in rule)
+                    all(u.dot(x) <= 0 and v.dot(x) <= 0 for x in rule)
                     for rule in U.rules
                 )
                 assert ok, (name, u, v)

@@ -8,15 +8,13 @@ from ubootstrap.geometry import (
     Arc,
     Direction,
     UNormContext,
-    arc_complement,
+    _assemble,
+    _rebuild,
     arc_contains,
     arc_intersect,
-    arc_normalize,
-    arc_union,
     ccw_key,
     cross,
     direction_between,
-    dot_sign,
     line_index,
     open_semicircle,
     sort_directions,
@@ -96,19 +94,10 @@ class TestDirection:
 
 
 class TestHalfPlanePrimitives:
-    def test_dot_sign_examples(self):
-        assert dot_sign((-1, 0), E1) == -1
-        assert dot_sign((0, 5), E1) == 0
-        assert dot_sign((2, 3), Direction(1, -1)) == -1
-
     def test_line_index_examples(self):
         assert line_index((0, 0), Direction(3, -2)) == 0
         assert line_index((1, 1), E1) == 1
         assert line_index((1, 2), Direction(2, -1)) == 0
-
-    @given(site_st, dir_st)
-    def test_antisymmetry(self, p, u):
-        assert dot_sign(p, u) == -dot_sign(p, u.neg())
 
     @given(site_st, site_st, dir_st)
     def test_additivity(self, p, q, u):
@@ -137,58 +126,61 @@ class TestArcs:
         assert not a.contains(Direction(1, -1))
         assert not a.contains(W)
 
-    def test_complement_of_full_is_empty(self):
-        assert arc_complement([Arc.full_circle()]) == []
-
     def test_intersect_abutting_closed_arcs_is_point(self):
         a = [Arc(E1, E2)]
         b = [Arc(E2, W)]
         assert arc_intersect(a, b) == [Arc.point(E2)]
 
+    # _assemble from cuts plus point and gap memberships: gap i is the open
+    # arc from cuts[i] to cuts[i + 1], and the last one wraps round
+
+    def test_complement_of_full_is_empty(self):
+        cuts = [E1, E2, W, S]
+        assert _assemble(cuts, [False] * 4, [False] * 4) == []
+        assert _assemble(cuts, [True] * 4, [True] * 4) == [Arc.full_circle()]
+
     def test_union_of_abutting_closed_arcs_merges(self):
-        a = [Arc(E1, E2)]
-        b = [Arc(E2, W)]
-        assert arc_union(a, b) == [Arc(E1, W)]
+        # [E1, E2] and [E2, W] in, the open lower half out
+        got = _assemble([E1, E2, W], [True, True, True], [True, True, False])
+        assert got == [Arc(E1, W)]
 
     def test_union_of_open_abutting_leaves_hole(self):
-        a = [Arc(E1, E2, True, False)]
-        b = [Arc(E2, W, False, True)]
-        got = arc_union(a, b)
+        # [E1, E2) and (E2, W] in: E2 itself is out
+        got = _assemble([E1, E2, W], [True, False, True], [True, True, False])
         assert got == [Arc(E1, E2, True, False), Arc(E2, W, False, True)]
         assert not arc_contains(got, E2)
 
     def test_complement_of_point(self):
-        got = arc_complement([Arc.point(E2)])
+        # one out-point gives the punctured circle, with or without more cuts
+        assert _assemble([E2], [False], [True]) == [Arc(E2, E2, False, False)]
+        got = _assemble([E1, E2, W, S], [True, False, True, True], [True] * 4)
         assert got == [Arc(E2, E2, False, False)]
+
+    def test_isolated_in_point(self):
+        assert _assemble([E2], [True], [False]) == [Arc.point(E2)]
+        got = _assemble([E1, E2, W, S], [False, True, False, False], [False] * 4)
+        assert got == [Arc.point(E2)]
 
     def test_normalize_overlapping(self):
         messy = [Arc(E1, W), Arc(E2, S)]  # overlap on second quadrant
-        got = arc_normalize(messy)
-        assert got == [Arc(E1, S)]
-
-    @given(arcs_st(), arcs_st())
-    @settings(max_examples=150)
-    def test_de_morgan(self, a, b):
-        lhs = arc_complement(arc_union(a, b))
-        rhs = arc_intersect(arc_complement(a), arc_complement(b))
-        assert lhs == rhs
+        assert _rebuild([messy], lambda m: m[0]) == [Arc(E1, S)]
 
     @given(arcs_st(), arcs_st())
     @settings(max_examples=150)
     def test_pointwise_semantics(self, a, b):
-        u = arc_union(a, b)
         i = arc_intersect(a, b)
-        c = arc_complement(a)
         for d in ALL_DIRS[::7]:
-            assert arc_contains(u, d) == (arc_contains(a, d) or arc_contains(b, d))
             assert arc_contains(i, d) == (arc_contains(a, d) and arc_contains(b, d))
-            assert arc_contains(c, d) == (not arc_contains(a, d))
 
     @given(arcs_st())
     @settings(max_examples=100)
     def test_normalize_idempotent(self, a):
-        n1 = arc_normalize(a)
-        assert arc_normalize(n1) == n1
+        # the assembled form is normal: assembling its own memberships
+        # gives it back
+        n1 = _rebuild([a], lambda m: m[0])
+        assert _rebuild([n1], lambda m: m[0]) == n1
+        for d in ALL_DIRS[::7]:
+            assert arc_contains(n1, d) == arc_contains(a, d)
 
     def test_open_semicircle(self):
         sc = open_semicircle(E1)

@@ -64,6 +64,29 @@ class TestClosure:
             got = torus_closure_grid(grid, U2)
             assert {(x, y) for y in range(8) for x in range(8) if got[y, x]} == want
 
+    @given(SMALL_FAMILIES, st.sampled_from([7, 9]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sweeps_match_rescan_on_random_families(self, fam, n, seed):
+        grid = np.random.default_rng(seed).random((n, n)) < 0.2
+        cells = lambda g: {(x, y) for y in range(n) for x in range(n) if g[y, x]}
+        pts = cells(grid)
+        assert cells(torus_closure_grid(grid, fam)) == closure_rescan(pts, Window(Torus(n)), fam)
+        # the same cells in a blocked box centred on the origin
+        h = n // 2
+        box = Window(Box(-h, -h, n - h, n - h))
+        sites = {(x - h, y - h) for x, y in pts}
+        want = closure_rescan(sites, box, fam)
+        g = grid.copy()
+        steps, t_origin = 0, (0 if g[h, h] else TIMEOUT)
+        while (newly := lattice.sweep(g, fam, torus=False)).any():
+            g |= newly
+            steps += 1
+            if t_origin is TIMEOUT and g[h, h]:
+                t_origin = steps
+        assert {(x - h, y - h) for x, y in cells(g)} == want
+        assert (t_origin is not TIMEOUT) == ((0, 0) in want)
+        assert infection_time(sites, fam, n * n, box) == t_origin
+
     def test_torus_window_rejected(self):
         with pytest.raises(ValueError):
             closure([(0, 0)], Window(Torus(8)), U2)

@@ -56,3 +56,24 @@ def _unused_imports(path: Path) -> set[str]:
 def test_module_imports_are_used():
     unused = {f"{path.name}: {name}" for path in PACKAGE.glob("*.py") for name in _unused_imports(path)}
     assert not unused, f"imported but unused: {sorted(unused)}"
+
+
+def _rules_readers(path: Path) -> set[str]:
+    """Top-level functions and classes of a module that read an attribute
+    named ``rules``."""
+    readers = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "rules" and isinstance(node.ctx, ast.Load):
+                readers.add(getattr(top, "name", "<module>"))
+    return readers
+
+
+def test_engines_read_the_compiled_family():
+    # one function knows the rule format; closure_rescan stays per rule as
+    # the oracle
+    allowed = {"_compile_family", "closure_rescan"}
+    readers = {f"{name}: {reader}"
+               for name in ("lattice.py", "droplets.py", "montecarlo.py", "geometry.py")
+               for reader in _rules_readers(PACKAGE / name) - allowed}
+    assert not readers, f"read U.rules outside the compiled family: {sorted(readers)}"
