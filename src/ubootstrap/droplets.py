@@ -8,6 +8,10 @@ variant resting on an infected half-plane.  Merge conditions are decided
 exactly on lattice sites (strong connectivity in the kappa-disc graph); the
 translate-existence tests are Minkowski dilations, computed as integer-valued
 FFT convolutions on offset grids.
+
+All three algorithms run one loop, ``_merge_loop``: steps in priority order,
+lowest index pair first, merging until no step applies.  Each test reads only
+the pieces it is given, so a pair that failed a step is never tested again.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -378,6 +382,59 @@ class MergeEvent:
     result: object  # Droplet or Iceberg
 
 
+def _first_site(r: Optional[OGrid]) -> Optional[Site]:
+    return r.first_site() if r is not None and r.any() else None
+
+
+def _merge_loop(pieces: list, steps: Sequence[tuple], record=None):
+    """The find-and-merge loop of the droplet algorithms: steps in priority
+    order, lowest index pair first.
+
+    ``steps`` lists ``(test, merge, pairwise)``.  Each round applies the
+    first step whose test holds, at its lowest index i, or for a pairwise
+    step its lowest pair i < j.  ``test`` returns None or a witness: True, or
+    the bridge site to log.  ``merge`` returns (new piece, logged result);
+    the new piece takes index i and a pairwise merge drops j (a unary one
+    logs right = -1).  A test must read only its own pieces, so a (step,
+    piece, piece) that failed stays failed: it is kept by the pieces' serial
+    numbers and never tested again.  With ``record``, a piece's history is
+    ``[record(p)]``, and after a merge that of i, then of j, then
+    ``record(new)``.  Returns (pieces, merge log, histories or None).
+    """
+    pieces = list(pieces)
+    serials = list(range(len(pieces)))
+    histories = [[record(p)] for p in pieces] if record else None
+    failed: set[tuple[int, int, int]] = set()
+    log: list[MergeEvent] = []
+
+    def find():
+        for k, (test, merge, pairwise) in enumerate(steps):
+            for i in range(len(pieces)):
+                for j in range(i + 1, len(pieces)) if pairwise else (-1,):
+                    key = (k, serials[i], serials[j] if j >= 0 else -1)
+                    if key not in failed:
+                        args = (pieces[i], pieces[j]) if j >= 0 else (pieces[i],)
+                        witness = test(*args)
+                        if witness is not None:
+                            return i, j, witness, merge(*args)
+                        failed.add(key)
+        return None
+
+    made = len(pieces)
+    while (hit := find()) is not None:
+        i, j, witness, (new, result) = hit
+        log.append(MergeEvent(len(log), i, j, None if witness is True else witness, result))
+        pieces[i], serials[i] = new, made
+        made += 1
+        if histories is not None:
+            histories[i] = histories[i] + (histories[j] if j >= 0 else []) + [record(new)]
+        if j >= 0:
+            del pieces[j], serials[j]
+            if histories is not None:
+                del histories[j]
+    return pieces, log, histories
+
+
 @dataclass
 class CoverResult:
     droplets: list[Droplet]
@@ -396,15 +453,25 @@ def _bridge_kernel(kappa: float, d_hat) -> OGrid:
     return disc.dilate(hat_neg)
 
 
+def _droplet_merge(directions: Sequence[Direction]):
+    """Merge step: two droplets become the minimal droplet of their union."""
+    def merge(a: Droplet, b: Droplet):
+        new = minimal_droplet(a.sites() | b.sites(), directions)
+        return new, new
+    return merge
+
+
 def covering_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
                        alpha: int, kappa: float,
                        d_hat: Optional[Droplet] = None) -> CoverResult:
     """Covering loop: seed a copy of the fixed droplet on each alpha-cluster
     and repeatedly replace two droplets bridgeable by one translate of that
-    droplet with the minimal droplet of their union; lowest index pair first.
+    droplet with the minimal droplet of their union.  One step, applied at
+    the lowest index pair first.
 
     The bridge test is exact: x + d_hat comes within kappa of both droplets
-    for some lattice x iff their bridge-kernel dilations overlap.
+    for some lattice x iff their bridge-kernel dilations overlap.  It reads
+    only the two droplets, so a pair that failed it is never tested again.
     """
     K = sorted(set(K))
     clusters, dust = alpha_clusters(K, alpha, kappa)
@@ -413,8 +480,6 @@ def covering_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
         return CoverResult([], [], dust, [], [], d_hat)
 
     kernel = _bridge_kernel(kappa, d_hat)
-    live: list[Droplet] = [d_hat.translate(min(cl)) for cl in clusters]
-    ancestors = [[d] for d in live]
     reach: dict[Droplet, OGrid] = {}
 
     def reach_of(d: Droplet) -> OGrid:
@@ -422,29 +487,12 @@ def covering_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
             reach[d] = OGrid.from_sites(d.sites()).dilate(kernel)
         return reach[d]
 
-    log: list[MergeEvent] = []
-    step = 0
-    while True:
-        found = None
-        for i in range(len(live)):
-            ri = reach_of(live[i])
-            for j in range(i + 1, len(live)):
-                both = ri.intersect(reach_of(live[j]))
-                if both is not None and both.any():
-                    found = (i, j, both.first_site())
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j, bridge = found
-        merged = minimal_droplet(live[i].sites() | live[j].sites(), directions)
-        log.append(MergeEvent(step, i, j, bridge, merged))
-        step += 1
-        ancestors[i] = ancestors[i] + ancestors[j] + [merged]
-        live[i] = merged
-        del live[j]
-        del ancestors[j]
+    def bridge(a: Droplet, b: Droplet) -> Optional[Site]:
+        return _first_site(reach_of(a).intersect(reach_of(b)))
+
+    seeds = [d_hat.translate(min(cl)) for cl in clusters]
+    live, log, ancestors = _merge_loop(seeds, [(bridge, _droplet_merge(directions), True)],
+                                       record=lambda d: d)
     return CoverResult(live, clusters, dust, log, ancestors, d_hat)
 
 
@@ -468,49 +516,43 @@ def _span_window(K, dirs, kappa) -> Window:
     return Window(Box(min(xs) - pad, min(ys) - pad, max(xs) + pad + 1, max(ys) + pad + 1))
 
 
+class _SpanPart(NamedTuple):
+    seeds: frozenset
+    closed: set  # closure of the seeds
+    grid: OGrid  # the closed sites
+    dil: OGrid  # their kappa-dilation
+
+
 def spanning_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
                        kappa: float, window: Optional[Window] = None) -> SpanResult:
     """Spanning loop: start from singletons, merge two parts while the union
     of their closures is strongly connected, return the minimal droplets of
-    the closed parts.  Must agree with ``span_components``."""
+    the closed parts.  One step, applied at the lowest index pair first; the
+    test reads only the two closures, so a pair that failed it is never
+    tested again.  Must agree with ``span_components``."""
     K = sorted(set(K))
     if not K:
         return SpanResult([], [], [], [])
     dirs = tuple(sort_directions(directions))
     w = window or _span_window(K, dirs, kappa)
-
     disc = OGrid.from_sites(disc_offsets(kappa))
-    parts: list[set] = [{s} for s in K]
-    closed: list[set] = [closure({s}, w, U) for s in K]
-    histories: list[list[frozenset]] = [[frozenset({s})] for s in K]
-    grids = [OGrid.from_sites(c) for c in closed]
-    dil = [g.dilate(disc) for g in grids]
 
-    log: list[MergeEvent] = []
-    step = 0
-    while True:
-        found = None
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                inter = dil[i].intersect(grids[j])
-                if inter is not None and inter.any():
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j = found
-        parts[i] = parts[i] | parts[j]
-        closed[i] = closure(closed[i] | closed[j], w, U)
-        histories[i] = histories[i] + histories[j] + [frozenset(parts[i])]
-        grids[i] = OGrid.from_sites(closed[i])
-        dil[i] = grids[i].dilate(disc)
-        log.append(MergeEvent(step, i, j, None, minimal_droplet(closed[i], dirs)))
-        step += 1
-        del parts[j], closed[j], histories[j], grids[j], dil[j]
-    droplets = [minimal_droplet(c, dirs) for c in closed]
-    return SpanResult(droplets, [frozenset(c) for c in closed], log, histories)
+    def part(seeds: frozenset, closed: set) -> _SpanPart:
+        grid = OGrid.from_sites(closed)
+        return _SpanPart(seeds, closed, grid, grid.dilate(disc))
+
+    def joined(a: _SpanPart, b: _SpanPart) -> Optional[bool]:
+        return True if _first_site(a.dil.intersect(b.grid)) is not None else None
+
+    def merge(a: _SpanPart, b: _SpanPart):
+        new = part(a.seeds | b.seeds, closure(a.closed | b.closed, w, U))
+        return new, minimal_droplet(new.closed, dirs)
+
+    singletons = [part(frozenset({s}), closure({s}, w, U)) for s in K]
+    parts, log, histories = _merge_loop(singletons, [(joined, merge, True)],
+                                        record=lambda p: p.seeds)
+    droplets = [minimal_droplet(p.closed, dirs) for p in parts]
+    return SpanResult(droplets, [frozenset(p.closed) for p in parts], log, histories)
 
 
 def span_components(K: Iterable[Site], U, directions: Sequence[Direction],
@@ -662,9 +704,12 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
                       u_star: Direction, U, kappa: float,
                       d_hat: Optional[Droplet] = None,
                       directions: Optional[Sequence[Direction]] = None) -> IcebergResult:
-    """Drift-side covering: absorb droplets joinable to the half-plane into
-    icebergs first, then merge piece pairs joinable together with the plane
-    into icebergs, then merge droplet pairs; stops when no step applies.
+    """Drift-side covering: three steps in priority order, each applied at
+    the lowest index (pair) first.  Step 1 absorbs a droplet joinable to the
+    half-plane into an iceberg, step 2 merges a piece pair joinable together
+    with the plane into an iceberg, step 3 merges a droplet pair; stops when
+    no step applies.  Each test reads only its pieces, so a piece or pair
+    that failed a step is never tested for it again.
 
     Requires u strictly between u0 and u_star, so icebergs are finite.
     """
@@ -686,118 +731,68 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
     j_direct = _halfplane_distance_table(u, kappa)
     j_bridge = j_direct - min(line_index(s, u) for s in d_hat.sites())
 
-    pieces: list[object] = [d_hat.translate(s) for s in K]
     disc = OGrid.from_sites(disc_offsets(kappa))
-    cache: dict[object, tuple[int, OGrid, OGrid, OGrid]] = {}
+    cache: dict[object, tuple[bool, OGrid, OGrid, OGrid]] = {}
 
     def info(p):
-        # (min line index, raw grid, kappa-dilation, bridge reach)
+        # (within kappa of the plane, raw grid, kappa-dilation, bridge reach)
         if p not in cache:
             sites = p.sites()
             g = OGrid.from_sites(sites)
-            cache[p] = (min(line_index(s, u) for s in sites), g,
+            cache[p] = (min(line_index(s, u) for s in sites) <= j_direct, g,
                         g.dilate(disc), g.dilate(kernel))
         return cache[p]
-
-    def touches_half(p) -> bool:
-        return info(p)[0] <= j_direct
 
     def near_half(r: Optional[OGrid]) -> Optional[Site]:
         if r is None:
             return None
         return r.first_site_with_index_at_most(u, j_bridge)
 
-    def first_of(r: Optional[OGrid]) -> Optional[Site]:
-        return r.first_site() if r is not None and r.any() else None
-
-    log: list[MergeEvent] = []
-    counts = {1: 0, 2: 0, 3: 0}
-    step = 0
-    while True:
-        action = None
-        bridge = None
+    def to_plane(p):
         # step 1: a droplet joinable to the half-plane through one translate
-        for i, p in enumerate(pieces):
-            if not isinstance(p, Droplet):
-                continue
-            if touches_half(p):
-                action = (1, i, None)
-                break
-            hit = near_half(info(p)[3])
-            if hit is not None:
-                action = (1, i, None)
-                bridge = hit
-                break
-        if action is None:
-            # step 2: two pieces whose union with the plane and one translate
-            # is strongly connected: the translate must reach every component
-            # of {W_i, W_j, H} under direct kappa-adjacency
-            for i in range(len(pieces)):
-                mi, gi, di, ri = info(pieces[i])
-                ti = mi <= j_direct
-                for j in range(i + 1, len(pieces)):
-                    mj, gj, dj, rj = info(pieces[j])
-                    tj = mj <= j_direct
-                    inter = di.intersect(gj)
-                    direct = inter is not None and inter.any()
-                    if (direct and (ti or tj)) or (ti and tj):
-                        # one component: any placement near the plane works
-                        hit = near_half(ri) or near_half(rj) or first_of(ri)
-                    elif direct:
-                        hit = near_half(ri.union(rj))
-                    elif ti:
-                        hit = first_of(ri.intersect(rj)) or near_half(rj)
-                    elif tj:
-                        hit = first_of(ri.intersect(rj)) or near_half(ri)
-                    else:
-                        hit = near_half(ri.intersect(rj))
-                    if hit is not None:
-                        action = (2, i, j)
-                        bridge = hit
-                        break
-                if action:
-                    break
-        if action is None:
-            # step 3: two droplets joinable without the plane
-            for i in range(len(pieces)):
-                if not isinstance(pieces[i], Droplet):
-                    continue
-                mi, gi, di, ri = info(pieces[i])
-                for j in range(i + 1, len(pieces)):
-                    if not isinstance(pieces[j], Droplet):
-                        continue
-                    mj, gj, dj, rj = info(pieces[j])
-                    inter = di.intersect(gj)
-                    if inter is not None and inter.any():
-                        action = (3, i, j)
-                        break
-                    inter2 = ri.intersect(rj)
-                    if inter2 is not None and inter2.any():
-                        action = (3, i, j)
-                        bridge = inter2.first_site()
-                        break
-                if action:
-                    break
-        if action is None:
-            break
+        if not isinstance(p, Droplet):
+            return None
+        touches, _, _, r = info(p)
+        return True if touches else near_half(r)
 
-        kind, i, j = action
-        counts[kind] += 1
-        if kind == 1:
-            newp: object = smallest_iceberg(pieces[i].sites(), u, u0, u_star)
-            log.append(MergeEvent(step, i, -1, bridge, newp))
-            pieces[i] = newp
-        elif kind == 2:
-            newp = smallest_iceberg(pieces[i].sites() | pieces[j].sites(), u, u0, u_star)
-            log.append(MergeEvent(step, i, j, bridge, newp))
-            pieces[i] = newp
-            del pieces[j]
-        else:
-            newp = minimal_droplet(pieces[i].sites() | pieces[j].sites(), directions)
-            log.append(MergeEvent(step, i, j, bridge, newp))
-            pieces[i] = newp
-            del pieces[j]
-        step += 1
+    def with_plane(a, b):
+        # step 2: two pieces whose union with the plane and one translate is
+        # strongly connected: the translate must reach every component of
+        # {W_a, W_b, H} under direct kappa-adjacency
+        ta, _, da, ra = info(a)
+        tb, gb, _, rb = info(b)
+        direct = _first_site(da.intersect(gb)) is not None
+        if (direct and (ta or tb)) or (ta and tb):
+            # one component: any placement near the plane works
+            return near_half(ra) or near_half(rb) or _first_site(ra)
+        if direct:
+            return near_half(ra.union(rb))
+        if ta:
+            return _first_site(ra.intersect(rb)) or near_half(rb)
+        if tb:
+            return _first_site(ra.intersect(rb)) or near_half(ra)
+        return near_half(ra.intersect(rb))
+
+    def droplet_pair(a, b):
+        # step 3: two droplets joinable without the plane
+        if not (isinstance(a, Droplet) and isinstance(b, Droplet)):
+            return None
+        _, _, da, ra = info(a)
+        _, gb, _, rb = info(b)
+        if _first_site(da.intersect(gb)) is not None:
+            return True
+        return _first_site(ra.intersect(rb))
+
+    def iceberg_of(a, b=None):
+        new = smallest_iceberg(a.sites() if b is None else a.sites() | b.sites(), u, u0, u_star)
+        return new, new
+
+    steps = [(to_plane, iceberg_of, False), (with_plane, iceberg_of, True),
+             (droplet_pair, _droplet_merge(directions), True)]
+    pieces, log, _ = _merge_loop([d_hat.translate(s) for s in K], steps)
+    counts = {1: 0, 2: 0, 3: 0}
+    for e in log:
+        counts[1 if e.right < 0 else 2 if isinstance(e.result, Iceberg) else 3] += 1
     return IcebergResult(pieces, log, d_hat, counts)
 
 

@@ -7,11 +7,14 @@ from ubootstrap.families import builtin
 from ubootstrap.family import classify, kappa as kappa_of, nu, rho_bound, stable_set, iceberg_u0
 from ubootstrap.geometry import Direction, line_index
 from ubootstrap.lattice import Box, HalfPlane, Window, closure
+from ubootstrap import droplets
 from ubootstrap.droplets import (
     CriticalType,
     Droplet,
     Iceberg,
+    MergeEvent,
     UnboundedDropletError,
+    _halfplane_distance_table,
     alpha_clusters,
     covering_algorithm,
     default_dhat,
@@ -286,6 +289,16 @@ class TestFillSpanPredicates:
         assert not is_internally_spanned(D, [(0, 0)], DUARTE, kap)
 
 
+def iceberg_input(seed):
+    """Sites near H_u for steps 1 and 2, and two clusters far above it that
+    only step 3 can merge."""
+    rng = np.random.default_rng(seed)
+    K = set()
+    for (x0, y0), n in (((0, 5), 6), ((0, 400), 3), ((200, 400), 2)):
+        K |= {(x0 + int(x), y0 + int(y)) for x, y in rng.integers(0, 30, size=(n, 2))}
+    return sorted(K)
+
+
 def duarte_drift_context():
     cls = classify(DUARTE)
     S = stable_set(DUARTE)
@@ -342,9 +355,16 @@ class TestIceberg:
 
     def test_terminal_no_step_applies(self):
         _, u, u0, u_star, kap = duarte_drift_context()
-        res = iceberg_algorithm([(0, 3), (200, 120)], u, u0, u_star, DUARTE, kap)
-        rerun = iceberg_algorithm([], u, u0, u_star, DUARTE, kap)  # smoke
-        assert len(res.pieces) >= 1
+        res = iceberg_algorithm(iceberg_input(0), u, u0, u_star, DUARTE, kap)
+        assert all(res.step_counts.values())
+        drops = [p for p in res.pieces if isinstance(p, Droplet)]
+        assert len(drops) >= 2
+        # no droplet is left within kappa of H_u, and no two droplets are
+        # kappa-connected
+        near = _halfplane_distance_table(u, kap)
+        assert all(min(line_index(s, u) for s in d.sites()) > near for d in drops)
+        assert not any(is_strongly_connected(a.sites() | b.sites(), kap)
+                       for i, a in enumerate(drops) for b in drops[i + 1:])
 
 
 class TestCriticalDroplet:
@@ -381,3 +401,94 @@ class TestUCrossed:
         strip = minimal_droplet([(x, y) for x in range(8) for y in range(6)], AXES)
         assert is_u_crossed(Direction(0, -1), strip, {(3, y) for y in range(6)}, U2, kappa=4.0)
         assert not is_u_crossed(Direction(0, -1), strip, {(3, 0)}, U2, kappa=2.0)
+
+
+def naive_merge_loop(pieces, steps, record=None):
+    """Reference for droplets._merge_loop: every round tests every step,
+    index and pair again from the start, with no memo of failed tests."""
+    pieces = list(pieces)
+    hist = [[record(p)] for p in pieces] if record else None
+    log = []
+    while True:
+        hits = ((i, j, w, merge, args)
+                for test, merge, pairwise in steps
+                for i in range(len(pieces))
+                for j in (range(i + 1, len(pieces)) if pairwise else (-1,))
+                for args in [(pieces[i], pieces[j]) if j >= 0 else (pieces[i],)]
+                for w in [test(*args)] if w is not None)
+        hit = next(hits, None)
+        if hit is None:
+            return pieces, log, hist
+        i, j, w, merge, args = hit
+        new, result = merge(*args)
+        log.append(MergeEvent(len(log), i, j, None if w is True else w, result))
+        pieces[i] = new
+        if hist:
+            hist[i] = hist[i] + (hist[j] if j >= 0 else []) + [record(new)]
+        if j >= 0:
+            del pieces[j]
+            if hist:
+                del hist[j]
+
+
+class TestMergeLoop:
+    """The merge loop skips tests that failed before; the naive loop reruns
+    them.  Every field of every result must agree, and no test may run twice
+    on the same pieces."""
+
+    def check(self, monkeypatch, run):
+        calls = []
+        loop = droplets._merge_loop
+
+        def spied(pieces, steps, record=None):
+            def spy(k, test):
+                def run_test(*args):
+                    # the pieces are kept alive, so their ids stay unique
+                    calls.append((k, args, tuple(map(id, args))))
+                    return test(*args)
+                return run_test
+            return loop(pieces, [(spy(k, t), m, p) for k, (t, m, p) in enumerate(steps)], record)
+
+        with monkeypatch.context() as m:
+            m.setattr(droplets, "_merge_loop", spied)
+            fast = run()
+        keys = [(k, ids) for k, _, ids in calls]
+        assert len(set(keys)) == len(keys), "a test ran twice on the same pieces"
+        with monkeypatch.context() as m:
+            m.setattr(droplets, "_merge_loop", naive_merge_loop)
+            slow = run()
+        assert fast == slow
+        return fast
+
+    def test_covering(self, monkeypatch):
+        cls = classify(U2)
+        kap = kappa_of(U2, cls, rho_bound(U2, cls.droplet_directions, cls.alpha).value)
+        rng = np.random.default_rng(21)
+        merges = 0
+        for alpha in (1, 2):
+            # clusters too far apart to bridge, so their pairs fail each round
+            K = {(100 * cx + int(x), 100 * cy + int(y)) for cx in range(3) for cy in range(3)
+                 for x, y in rng.integers(0, 12, size=(3, 2))}
+            res = self.check(monkeypatch, lambda: covering_algorithm(
+                K, U2, cls.droplet_directions, alpha, kap))
+            merges += len(res.merge_log)
+        assert merges
+
+    def test_spanning(self, monkeypatch):
+        cls = classify(DUARTE)
+        kap = kappa_of(DUARTE, cls, 0.0)
+        rng = np.random.default_rng(22)
+        merges = 0
+        for _ in range(4):
+            K = {(int(x), int(y)) for x, y in rng.integers(0, 30, size=(25, 2))}
+            res = self.check(monkeypatch, lambda: spanning_algorithm(
+                K, DUARTE, cls.droplet_directions, kap))
+            merges += len(res.merge_log)
+        assert merges
+
+    def test_iceberg_all_steps(self, monkeypatch):
+        _, u, u0, u_star, kap = duarte_drift_context()
+        for seed in range(2):
+            res = self.check(monkeypatch, lambda: iceberg_algorithm(
+                iceberg_input(seed), u, u0, u_star, DUARTE, kap))
+            assert all(res.step_counts.values()), res.step_counts

@@ -77,3 +77,20 @@ def test_engines_read_the_compiled_family():
                for name in ("lattice.py", "droplets.py", "montecarlo.py", "geometry.py")
                for reader in _rules_readers(PACKAGE / name) - allowed}
     assert not readers, f"read U.rules outside the compiled family: {sorted(readers)}"
+
+
+def test_one_merge_loop():
+    # the droplet algorithms share one find-and-merge loop, the only place
+    # that builds a MergeEvent
+    builders = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "MergeEvent"):
+                    builders.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert builders == {"droplets._merge_loop"}
+    tops = {top.name: top for top in ast.parse((PACKAGE / "droplets.py").read_text()).body
+            if isinstance(top, ast.FunctionDef)}
+    for name in ("covering_algorithm", "spanning_algorithm", "iceberg_algorithm"):
+        assert not any(isinstance(n, ast.While) for n in ast.walk(tops[name])), name
