@@ -1,6 +1,6 @@
 """Droplets, icebergs and the three closure-approximation algorithms
-(covering, spanning, iceberg), plus the internal-fill / internal-span
-predicates they support.
+(covering, spanning, iceberg), plus the internal-span predicate, the
+definitional oracle that spanning is checked against.
 
 A droplet is the lattice restriction of a convex polygon cut out by
 half-planes with normals in a fixed direction set; an iceberg is the drift
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .geometry import Direction, Site, ccw_key, cross, line_index, sort_directions
-from .lattice import Box, HalfPlane, Window, _compile_family, closure
+from .lattice import Box, Window, closure
 
 
 class UnboundedDropletError(ValueError):
@@ -154,12 +153,6 @@ class Droplet:
     def translate(self, v: Site) -> "Droplet":
         return Droplet(self.directions,
                        tuple(o + line_index(v, u) for u, o in zip(self.directions, self.offsets)))
-
-    def face(self, u: Direction) -> frozenset:
-        """The u-side: sites on the last non-empty line orthogonal to u."""
-        sites = self.sites()
-        top = max(line_index(s, u) for s in sites)
-        return frozenset(s for s in sites if line_index(s, u) == top)
 
     def proj(self, u: Direction) -> float:
         vals = [line_index(s, u) for s in self.sites()]
@@ -319,13 +312,6 @@ def strongly_connected_components(sites: Iterable[Site], kappa: float) -> list[f
             seen |= comp
             comps.append(comp)
     return comps
-
-
-def is_strongly_connected(sites: Iterable[Site], kappa: float) -> bool:
-    pts = set(sites)
-    if not pts:
-        return True
-    return len(strongly_connected_components(pts, kappa)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +555,7 @@ def span_components(K: Iterable[Site], U, directions: Sequence[Direction],
 
 
 # ---------------------------------------------------------------------------
-# fill / span predicates
-
-
-def is_internally_filled(X: Iterable[Site], A: Iterable[Site], U) -> bool:
-    """X is contained in the closure of X intersect A, run inside X."""
-    X = set(X)
-    if not X:
-        return True
-    seeds = X & set(A)
-    if not seeds:
-        return False
-    xs = [s[0] for s in X]
-    ys = [s[1] for s in X]
-    w = Window(Box(min(xs), min(ys), max(xs) + 1, max(ys) + 1))
-    got = closure(seeds, w, U, region=X)
-    return X <= got
+# the internal-span predicate
 
 
 def is_internally_spanned(D: Droplet, A: Iterable[Site], U, kappa: float) -> bool:
@@ -601,36 +572,6 @@ def is_internally_spanned(D: Droplet, A: Iterable[Site], U, kappa: float) -> boo
         if minimal_droplet(comp, D.directions) == D:
             return True
     return False
-
-
-def is_u_crossed(u: Direction, strip, A: Iterable[Site], U, kappa: float) -> bool:
-    """Whether [H_u(x) ∪ (S ∩ A)], computed inside the strip plus a collar,
-    contains a strongly connected set joining the half-plane below the
-    (-u)-side to the u-side of the strip.
-
-    ``strip`` is any droplet-like object exposing sites() and the direction
-    list; x is taken on the (-u)-side, so the assisting half-plane is
-    {y : line_index(y, u) < min index over the strip}.
-    """
-    sites = set(strip.sites())
-    if not sites:
-        return False
-    offset = min(line_index(s, u) for s in sites)
-    top = max(line_index(s, u) for s in sites)
-    face = {s for s in sites if line_index(s, u) == top}
-
-    reach = int(math.ceil(max(math.hypot(dx, dy) for dx, dy in _compile_family(U).hood)))
-    region = {(sx + dx, sy + dy) for sx, sy in sites
-              for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)
-              if line_index((sx + dx, sy + dy), u) >= offset}
-    xs = [s[0] for s in region]
-    ys = [s[1] for s in region]
-    w = Window(Box(min(xs), min(ys), max(xs) + 1, max(ys) + 1), HalfPlane(u, offset))
-    closed = closure(set(A) & sites, w, U, region=region)
-
-    near = offset + _halfplane_distance_table(u, kappa)
-    return any(comp & face and any(line_index(s, u) <= near for s in comp)
-               for comp in strongly_connected_components(closed, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +598,6 @@ class Iceberg:
 
     def sites(self) -> frozenset:
         return _iceberg_sites(self)
-
-    def proj(self, d: Direction) -> float:
-        vals = [line_index(s, d) for s in self.sites()]
-        return (max(vals) - min(vals)) / d.norm()
 
     def __repr__(self):
         return (f"Iceberg(u={self.u}, {self.u0}<{self.offset0}, "
@@ -794,31 +731,3 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
     for e in log:
         counts[1 if e.right < 0 else 2 if isinstance(e.result, Iceberg) else 3] += 1
     return IcebergResult(pieces, log, d_hat, counts)
-
-
-# ---------------------------------------------------------------------------
-# critical droplet typing
-
-
-class CriticalType(Enum):
-    TYPE_T = "TypeT"
-    TYPE_L = "TypeL"
-    NOT_CRITICAL = "NotCritical"
-
-
-def is_critical_droplet(D: Droplet, p: float, xi: float, alpha: int,
-                        u_star: Direction) -> CriticalType:
-    """Dimension regimes of critical droplets for unbalanced families: tall
-    (T) or long (L), relative to the scales p^(-alpha-1/5) in width and
-    (xi / p^alpha) log(1/p) in height."""
-    if not (0 < p < 1):
-        raise ValueError("p must be in (0, 1)")
-    h = D.proj(u_star)
-    w = D.proj(u_star.perp())
-    w_scale = p ** (-alpha - 0.2)
-    h_scale = xi * p ** (-alpha) * math.log(1.0 / p)
-    if w <= w_scale and h_scale <= h <= 3 * h_scale:
-        return CriticalType.TYPE_T
-    if w_scale <= w <= 3 * w_scale and h <= h_scale:
-        return CriticalType.TYPE_L
-    return CriticalType.NOT_CRITICAL

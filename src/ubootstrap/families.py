@@ -3,9 +3,8 @@
 A rule file is {"name": str, "rules": [[[x, y], ...], ...]} with integer
 coordinates, plus optional free-form metadata (the corpus records the
 expected classification for regression).  The corpus lives in
-``BUILTIN_RULES`` and ``BUILTIN_METADATA``; ``write_corpus`` writes it out as
-rule files.  The writer is canonical: sorted rules, sorted sites, fixed
-separators, so files round-trip bit-exactly.
+``BUILTIN_RULES`` and ``BUILTIN_METADATA``; rule files come from outside the
+program and are validated by the parser.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 import json
 from itertools import combinations
 from pathlib import Path
-from typing import Optional
-
 from .family import UpdateFamily
 
 
@@ -94,20 +91,6 @@ def parse_rule_file(path) -> tuple[UpdateFamily, dict]:
     return parse_rule_data(data)
 
 
-def rule_file_text(fam: UpdateFamily, metadata: Optional[dict] = None) -> str:
-    doc = {
-        "name": fam.name,
-        "rules": [[list(s) for s in sorted(rule)] for rule in fam.rules],
-    }
-    if metadata:
-        doc["metadata"] = metadata
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def write_rule_file(fam: UpdateFamily, path, metadata: Optional[dict] = None) -> None:
-    Path(path).write_text(rule_file_text(fam, metadata))
-
-
 def builtin(name: str) -> UpdateFamily:
     if name not in BUILTIN_RULES:
         raise KeyError(f"unknown family {name!r}; have {', '.join(FAMILY_IDS)}")
@@ -120,13 +103,3 @@ def load_family(spec: str) -> tuple[UpdateFamily, dict]:
         return builtin(spec), BUILTIN_METADATA.get(spec, {})
     return parse_rule_file(spec)
 
-
-def write_corpus(directory) -> list[Path]:
-    out = []
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    for name in FAMILY_IDS:
-        p = d / f"{name}.json"
-        write_rule_file(builtin(name), p, BUILTIN_METADATA.get(name))
-        out.append(p)
-    return out

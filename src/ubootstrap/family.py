@@ -1,7 +1,7 @@
 """Rule algebra for update families: the exact stable set, the
 subcritical/critical/supercritical trichotomy, direction difficulties via the
 strip oracle, balancedness, droplet direction selection, and the handful of
-derived constants (nu, alpha*, rho-hat, kappa) the droplet algorithms need.
+derived constants (nu, rho-hat, kappa) the droplet algorithms need.
 
 Difficulty values are decided by bounded search and carry an explicit
 INFINITE_WITHIN_WINDOW verdict when the search window is exhausted; nothing
@@ -21,7 +21,6 @@ from .geometry import (
     Arc,
     Direction,
     Site,
-    UNormContext,
     _assemble,
     arc_intersect,
     ccw_key,
@@ -33,7 +32,6 @@ from .geometry import (
     open_semicircle,
     rotate,
     sort_directions,
-    u_norm,
 )
 from .lattice import (
     Box,
@@ -140,9 +138,6 @@ class StableSet:
     def is_empty(self) -> bool:
         return not self.arcs
 
-    def is_full(self) -> bool:
-        return len(self.arcs) == 1 and self.arcs[0].full
-
     def isolated_points(self) -> list[Direction]:
         return [a.start for a in self.arcs if a.is_point()]
 
@@ -154,9 +149,6 @@ class StableSet:
             out.append(a.start)
             out.append(a.end)
         return sort_directions(out)
-
-    def components(self) -> list[Arc]:
-        return list(self.arcs)
 
 
 def stable_set(U: UpdateFamily) -> StableSet:
@@ -214,14 +206,6 @@ class DifficultyResult:
     def resolved(self) -> bool:
         return self.value is not INFINITE_WITHIN_WINDOW
 
-    @property
-    def alpha_bar(self):
-        """min of the side difficulties (only meaningful on combined results)."""
-        sides = [r.value for r in (self.plus, self.minus) if r is not None and r.resolved]
-        if sides:
-            return min(sides)
-        return INFINITE_WITHIN_WINDOW
-
 
 # a difficulty search gives up after testing this many candidate sets
 CANDIDATE_CAP = 10 ** 6
@@ -240,18 +224,6 @@ def _half_sites(u: Direction, window: int) -> list[Site]:
     ]
     out.sort(key=lambda s: (line_index(s, u), abs(b * s[0] - a * s[1]), b * s[0] - a * s[1]))
     return out
-
-
-def _canonical_translate(Z: tuple[Site, ...], u: Direction) -> frozenset:
-    """Shift Z along the boundary line so the minimal line position lands in
-    the fundamental domain [0, a^2 + b^2)."""
-    a, b = u.a, u.b
-    norm2 = a * a + b * b
-    cmin = min(b * x - a * y for x, y in Z)
-    k = cmin // norm2
-    if k == 0:
-        return frozenset(Z)
-    return frozenset((x - k * b, y + k * a) for x, y in Z)
 
 
 def _canonical_witnesses(u: Direction, window: int, k: int):
@@ -441,12 +413,12 @@ def _select_balanced_directions(U, S, alpha, window) -> list[Direction]:
         if not r.resolved or r.value >= alpha:
             chosen.add(d)
     interiors = []
-    for a in S.components():
+    for a in S.arcs:
         if a.is_point() or a.full:
             continue
         interiors.append(a)
         chosen.add(_interior_sample(a))
-    for a in S.components():
+    for a in S.arcs:
         if a.full:
             # whole circle stable: four axis interior samples suffice
             return [Direction(1, 0), Direction(0, 1), Direction(-1, 0), Direction(0, -1)]
@@ -593,9 +565,10 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Clas
             drift = True
     cls.drift = drift
 
-    # u^l / u^r: the attaining direction anchors one side with alpha_bar
-    # exactly alpha; the other side takes any stable direction certified >=
-    # alpha, preferring one close to the perpendicular of u*
+    # u^l / u^r: the attaining direction, whose smaller side difficulty is
+    # exactly alpha, anchors one side; the other side takes any stable
+    # direction certified >= alpha, preferring one close to the
+    # perpendicular of u*
     att = max(pts, key=lambda p: (diffs[p].value, p.angle_key()))
     att_side = 1 if cross(ustar, att) > 0 else -1
 
@@ -607,7 +580,7 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Clas
                 diffs.setdefault(e, r)
                 if (not r.resolved) or r.value >= alpha:
                     pool.append(e)
-        for a in S.components():
+        for a in S.arcs:
             if a.is_point():
                 continue
             s = _interior_sample(a)
@@ -645,7 +618,7 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Clas
 
 
 # ---------------------------------------------------------------------------
-# quasi-stability, voracity and derived constants
+# quasi-stability and derived constants
 
 
 def quasi_stable_set(U: UpdateFamily) -> list[Direction]:
@@ -659,52 +632,6 @@ def quasi_stable_set(U: UpdateFamily) -> list[Direction]:
         out.add(d)
         out.add(d.neg())
     return sort_directions(out)
-
-
-def consecutive_pairs(dirs: Sequence[Direction]) -> list[tuple[Direction, Direction]]:
-    order = sort_directions(dirs)
-    return [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
-
-
-def voracious_check(Z: Iterable[Site], u: Direction, U: UpdateFamily,
-                    alpha_cap: int) -> bool:
-    """Whether H_u plus Z infects infinitely many sites of the boundary line."""
-    Z = frozenset(tuple(z) for z in Z)
-    if len(Z) > alpha_cap:
-        raise ValueError(f"witness of size {len(Z)} exceeds cap {alpha_cap}")
-    scan = strip_scan(u, Z, U)
-    return StripVerdict.INFINITE_LINE in (scan.verdict_plus, scan.verdict_minus)
-
-
-def _ray_filled(u: Direction, Z: frozenset, U: UpdateFamily) -> bool:
-    """Whether the closure of H_u plus Z covers the entire plus ray of the
-    boundary line (every site, not just infinitely many)."""
-    a, b = u.a, u.b
-    norm2 = a * a + b * b
-    scan = strip_scan(u, Z, U)
-    if scan.verdict_plus is not StripVerdict.INFINITE_LINE or scan.period_plus is None:
-        return False
-    j0, r = scan.period_plus
-    hi_c = (j0 + 3 * r) * scan.col_width
-    i = 0
-    while i * norm2 < hi_c:
-        if (i * b, -i * a) not in scan.infected:
-            return False
-        i += 1
-    return True
-
-
-def alpha_star(U: UpdateFamily, u_star: Direction, window: int = 16) -> DifficultyResult:
-    """Minimal number of consecutive boundary-line sites that, with the
-    half-plane, infect the whole plus ray."""
-    if not is_stable(u_star, U):
-        return DifficultyResult(0, window, frozenset(), 0)
-    a, b = u_star.a, u_star.b
-    for k in range(1, window + 1):
-        Z = frozenset((i * b, -i * a) for i in range(k))
-        if _ray_filled(u_star, Z, U):
-            return DifficultyResult(k, window, Z, k)
-    raise SearchBudgetExceededError(f"no consecutive witness up to size {window}")
 
 
 @dataclass(frozen=True)
@@ -740,41 +667,24 @@ def _halfplane_additions(U: UpdateFamily, u: Direction, Z: frozenset) -> set[Sit
             return out
         pad *= 2
     raise StripHeightExceededError(
-        f"closure of H_{u} plus {set(Z)} does not stabilize (alpha_bar too small?)")
+        f"closure of H_{u} plus {set(Z)} does not stabilize (a side of {u} easier than alpha?)")
 
 
 def rho_bound(U: UpdateFamily, directions: Sequence[Direction], alpha: int,
-              window: int = 4, ctx: Optional[UNormContext] = None) -> RhoBound:
-    """Maximal displacement of a new infection from a helper set of size
-    alpha-1 next to a stable half-plane, over the given directions and all
-    translation-reduced helper sets in the radius-``window`` box.
-
-    With a UNormContext the displacement is measured in the anisotropic norm
-    (the rho(u, gamma) variant), otherwise Euclidean.
-    """
+              window: int = 4) -> RhoBound:
+    """Maximal Euclidean displacement of a new infection from a helper set
+    of size alpha-1 next to a stable half-plane, over the given directions
+    and all translation-reduced helper sets in the radius-``window`` box."""
     best = RhoBound(0.0)
     k = alpha - 1
     for u in directions:
-        if k == 0:
-            candidates: Iterable[frozenset] = [frozenset()]
-        else:
-            sites = _half_sites(u, window)
-            seen = set()
-            cands = []
-            for combo in itertools.combinations(sites, k):
-                Z = _canonical_translate(combo, u)
-                if Z not in seen:
-                    seen.add(Z)
-                    cands.append(Z)
-            candidates = cands
+        # the empty helper set has no minimal line position to reduce by
+        candidates = [frozenset()] if k == 0 else _canonical_witnesses(u, window, k)
         for Z in candidates:
             out = _halfplane_additions(U, u, Z)
             for site in out:
                 if Z:
-                    if ctx is not None:
-                        d = min(u_norm((site[0] - z[0], site[1] - z[1]), ctx) for z in Z)
-                    else:
-                        d = min(euclid(site, z) for z in Z)
+                    d = min(euclid(site, z) for z in Z)
                 else:
                     d = math.inf if out else 0.0
                 if d > best.value:
@@ -820,7 +730,7 @@ def iceberg_u0(U: UpdateFamily, u_star: Direction, S: StableSet,
         raise NoDriftDirectionError(
             f"minus side of {u_star} resolved at {m.value}; no drift")
     comp = None
-    for a in S.components():
+    for a in S.arcs:
         if not a.is_point() and not a.full and a.contains(u_star):
             comp = a
             break

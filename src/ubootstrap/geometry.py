@@ -1,10 +1,7 @@
 """Exact discrete geometry on Z^2 and the rational circle.
 
 Directions are primitive integer vectors; every angular comparison is done
-with integer (or Fraction) arithmetic, so arc computations are exact.  The
-only deliberately inexact quantity in this module is the angle stored in a
-``UNormContext``, which is derived from an exact direction pair but kept as
-a float because it is only ever used inside a norm, never for set membership.
+with integer (or Fraction) arithmetic, so arc computations are exact.
 """
 
 from __future__ import annotations
@@ -296,40 +293,6 @@ def open_semicircle(d: Direction) -> Arc:
 
 def closed_semicircle(d: Direction) -> Arc:
     return Arc(d, d.neg(), True, True)
-
-
-# ---------------------------------------------------------------------------
-# the anisotropic norm used for drift geometry
-
-
-@dataclass(frozen=True)
-class UNormContext:
-    """Context for the anisotropic norm |<x,u*>| + sigma(u) |<x,u_perp>|.
-
-    sigma is the angle between the working direction u and the reference
-    direction u*; it is zero exactly when u is parallel to u*.  With
-    drift=False, or sigma == 0, the norm degrades to Euclidean.
-    """
-
-    u_star: Direction
-    sigma: float
-    drift: bool = True
-
-
-def unorm_context(u: Direction, u_star: Direction, drift: bool = True) -> UNormContext:
-    c = abs(cross(u, u_star))
-    d = u.a * u_star.a + u.b * u_star.b
-    sigma = math.atan2(c, d)
-    return UNormContext(u_star=u_star, sigma=sigma, drift=drift)
-
-
-def u_norm(p: Site, ctx: UNormContext) -> float:
-    if not ctx.drift or ctx.sigma <= 0.0:
-        return math.hypot(p[0], p[1])
-    scale = ctx.u_star.norm()
-    along = abs(ctx.u_star.dot(p)) / scale
-    across = abs(ctx.u_star.perp().dot(p)) / scale
-    return along + ctx.sigma * across
 
 
 def euclid(p: Site, q: Site) -> float:

@@ -8,9 +8,8 @@ some rule fires, filled lazily from the rules' own masks.
 ``is_stable`` is one memo read; the frontier kernel ``_grow`` pays |N|
 lookups and one memo read per candidate site, however many rules the family
 has.  ``closure`` runs the kernel in a box (optionally next to an infected
-half-plane and inside a region), and ``strip_scan`` runs it in the strip
-next to H_u, column window by column window, with ``_column_width`` read
-off N.  Synchronous numpy sweeps run the torus and blocked-window dynamics
+half-plane), and ``strip_scan`` runs it in the strip next to H_u, column
+window by column window, with ``_column_width`` read off N.  Synchronous numpy sweeps run the torus and blocked-window dynamics
 of the Monte Carlo harness: one shifted plane per offset of N, ANDed per
 rule.  ``closure_rescan`` stays a naive full-rescan fixed point over the
 rules one by one, kept as the independent oracle for the kernel and the
@@ -144,14 +143,14 @@ def _kernel_hood(U, normals) -> tuple[tuple, _FireMemo]:
 
 
 def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int],
-          bands, region: Optional[set[Site]] = None) -> list[Site]:
+          bands) -> list[Site]:
     """Grow ``inf`` in place to its closure under U; return the added sites
     in order.
 
     ``half = (a, b, off)``: sites with a*x + b*y < off count as infected and
     are never added ((0, 0, 0) means no half-plane).  ``bands`` holds two
     bounds (a_i, b_i, lo_i, hi_i): only sites with lo_i <= a_i*x + b_i*y < hi_i
-    are added, and only sites of ``region`` when it is given.
+    are added.
 
     ``sources`` are the sites whose neighbourhoods need examining: every site
     of ``inf`` that may support a new one.  Each site c = s - x, for x in the
@@ -180,8 +179,6 @@ def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int]
             c1 = s1 - d1
             if c1 < lo1 or c1 >= hi1:
                 continue
-            if region is not None and c not in region:
-                continue
             cx, cy = c
             below = off - ch  # an offset e is in the half-plane iff e's projection < below
             for bit, ex, ey, eh in others:
@@ -193,13 +190,12 @@ def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int]
     return frontier[start:]
 
 
-def closure(A: Iterable[Site], w: Window, U, region: Optional[set[Site]] = None) -> set[Site]:
+def closure(A: Iterable[Site], w: Window, U) -> set[Site]:
     """Least fixed point of the bootstrap dynamics inside the box window ``w``.
 
     Half-plane boundary sites count as infected for rule evaluation but never
-    appear in the output.  ``region`` optionally restricts which sites may
-    become infected (membership for support is unaffected).  Torus closures
-    run on the synchronous sweeps (``torus_closure_grid``).
+    appear in the output.  Torus closures run on the synchronous sweeps
+    (``torus_closure_grid``).
     """
     box = w.shape
     if not isinstance(box, Box):
@@ -218,14 +214,14 @@ def closure(A: Iterable[Site], w: Window, U, region: Optional[set[Site]] = None)
         sources += [(x, y) for x in range(box.x0 - r, box.x1 + r)
                     for y in range(box.y0 - r, box.y1 + r)
                     if off - depth <= a * x + b * y < off]
-    _grow(inf, sources, U, half, ((1, 0, box.x0, box.x1), (0, 1, box.y0, box.y1)), region)
+    _grow(inf, sources, U, half, ((1, 0, box.x0, box.x1), (0, 1, box.y0, box.y1)))
     return inf
 
 
-def closure_rescan(A: Iterable[Site], w: Window, U, region: Optional[set[Site]] = None) -> set[Site]:
+def closure_rescan(A: Iterable[Site], w: Window, U) -> set[Site]:
     """Naive fixed-point iteration: rescan every window site each pass.
     Independent oracle for the frontier kernel and the sweeps; only for small
-    windows.  ``region`` restricts which sites may become infected."""
+    windows."""
     shape = w.shape
     if isinstance(shape, Torus):
         n = shape.n
@@ -250,7 +246,7 @@ def closure_rescan(A: Iterable[Site], w: Window, U, region: Optional[set[Site]] 
     while changed:
         changed = False
         for s in sites:
-            if s in infected or in_half(s) or (region is not None and s not in region):
+            if s in infected or in_half(s):
                 continue
             for rule in U.rules:
                 if all(in_half((s[0] + dx, s[1] + dy)) or occupied_raw((s[0] + dx, s[1] + dy), infected)
@@ -311,43 +307,30 @@ def torus_closure_grid(grid: np.ndarray, U) -> np.ndarray:
             return g
 
 
-def percolates(A: Iterable[Site], n: int, U) -> bool:
-    """Whether the closure of A fills the n x n torus."""
-    grid = np.zeros((n, n), dtype=bool)
-    for x, y in A:
-        grid[y % n, x % n] = True
-    return bool(torus_closure_grid(grid, U).all())
-
-
 def percolates_grid(grid: np.ndarray, U) -> bool:
     return bool(torus_closure_grid(grid, U).all())
 
 
 def infection_time(A: Iterable[Site], U, t_max: int, w: Window):
-    """Smallest t <= t_max with the origin in A_t under synchronous updates,
-    else TIMEOUT.  Exact on Z^2 whenever the window radius dominates the
-    light cone of the origin (caller's responsibility, see the harness)."""
-    shape = w.shape
-    if isinstance(shape, Torus):
-        n = shape.n
-        grid = np.zeros((n, n), dtype=bool)
-        for x, y in A:
-            grid[y % n, x % n] = True
-        oy, ox = 0, 0
-        torus = True
-    else:
-        if not shape.contains((0, 0)):
-            raise OriginOutsideWindowError("origin not inside the window")
-        grid = np.zeros((shape.y1 - shape.y0, shape.x1 - shape.x0), dtype=bool)
-        for x, y in A:
-            if shape.contains((x, y)):
-                grid[y - shape.y0, x - shape.x0] = True
-        oy, ox = -shape.y0, -shape.x0
-        torus = False
+    """Smallest t <= t_max with the origin in A_t under synchronous updates
+    in the box window ``w`` (blocked boundary), else TIMEOUT.  Exact on Z^2
+    whenever the window radius dominates the light cone of the origin
+    (caller's responsibility, see the harness)."""
+    box = w.shape
+    if not isinstance(box, Box) or w.boundary is not None:
+        # a half-plane boundary would be ignored by the blocked sweep
+        raise ValueError("infection_time needs a Box window without a half-plane")
+    if not box.contains((0, 0)):
+        raise OriginOutsideWindowError("origin not inside the window")
+    grid = np.zeros((box.y1 - box.y0, box.x1 - box.x0), dtype=bool)
+    for x, y in A:
+        if box.contains((x, y)):
+            grid[y - box.y0, x - box.x0] = True
+    oy, ox = -box.y0, -box.x0
     if grid[oy, ox]:
         return 0
     for t in range(1, t_max + 1):
-        newly = sweep(grid, U, torus)
+        newly = sweep(grid, U, torus=False)
         if not newly.any():
             return TIMEOUT
         grid |= newly

@@ -1,6 +1,5 @@
-"""Monte Carlo harness: percolation probability curves, critical-probability
-bisection on tori, infection-time sampling on light-cone-exact windows, and
-the scaling transforms for the universality laws.
+"""Monte Carlo harness: critical-probability bisection on tori and
+infection-time sampling on light-cone-exact windows.
 
 Every trial draws from its own counter-based substream (Philox keyed by seed
 and trial index), and aggregation reduces in trial order, so results are
@@ -14,11 +13,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .family import Classification, Kind, UpdateFamily, nu
+from .family import UpdateFamily, nu
 from .lattice import percolates_grid, sweep
 
 
@@ -28,36 +27,8 @@ class BudgetExhaustedError(RuntimeError):
         self.bracket = bracket
 
 
-class InsufficientDataError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# configuration and result records
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    family: UpdateFamily
-    n: int
-    p: float
-    seed: int
-    trials: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError("p must be a probability")
-        if self.trials < 1:
-            raise ValueError("at least one trial")
-
-
-@dataclass(frozen=True)
-class Fraction01:
-    value: float
-    ci_low: float
-    ci_high: float
-    successes: int
-    trials: int
+# result records
 
 
 @dataclass(frozen=True)
@@ -88,15 +59,6 @@ class TauStats:
     median: float
     q1: float
     q3: float
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    transform: str
-    points: tuple  # (x, statistic, transformed)
-    spread: float
-    bound: Optional[float]
-    passed: Optional[bool]
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +143,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, min(centre - half, phat)), min(1.0, max(centre + half, phat)))
 
 
-def percolation_probability(cfg: TrialConfig) -> Fraction01:
-    """Fraction of p-random torus configurations that percolate."""
-    if cfg.p >= 1.0:
-        return Fraction01(1.0, 1.0, 1.0, cfg.trials, cfg.trials)
-    args = [(cfg.family, cfg.n, cfg.p, cfg.seed, t) for t in range(cfg.trials)]
-    results = parallel_map(_perc_trial, args)
-    succ = sum(bool(r) for r in results)
-    lo, hi = wilson_interval(succ, cfg.trials)
-    return Fraction01(succ / cfg.trials, lo, hi, succ, cfg.trials)
-
-
 # ---------------------------------------------------------------------------
 # critical probability by bisection
 
@@ -222,6 +173,10 @@ def estimate_pc(family: UpdateFamily, n: int, trials: int = 64, tol: float = 0.0
     """Bisection for the density where the percolation probability crosses
     one half; the true curve is monotone in p, which justifies bisection.
     One worker pool serves every evaluation of the call."""
+    if n < 1:
+        raise ValueError("torus size must be positive")
+    if trials < 1:
+        raise ValueError("at least one trial per evaluation")
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = 0.0, 1.0
@@ -288,6 +243,8 @@ def sample_tau(family: UpdateFamily, p: float, trials: int, t_max: int,
     The window doubles until the realized time fits its light cone, so every
     reported value is the exact infection time on the infinite lattice; the
     horizon is capped by the window memory limit."""
+    if r0 < 1:
+        raise ValueError("initial window radius must be positive")
     nu_val = nu(family)
     horizon = effective_t_max(family, t_max, r_cap)
     args = [(family, p, seed, t, horizon, r0, r_cap, nu_val) for t in range(trials)]
@@ -310,67 +267,3 @@ def _censored_quantile(taus: Sequence[int], trials: int, q: float) -> float:
     if hi >= len(taus):
         return math.inf
     return float(taus[lo] + (taus[hi] - taus[lo]) * (h - lo))
-
-
-# ---------------------------------------------------------------------------
-# scaling transforms
-
-
-def scaling_fit(samples: Sequence[tuple[float, float]], transform: str,
-                alpha: int = 1, bound: Optional[float] = None) -> ScalingReport:
-    """Apply the classification-appropriate transform and report the spread
-    (max/min ratio) of the transformed statistic.
-
-    transforms: 'balanced' and 'unbalanced' expect (p, tau) samples and use
-    p^alpha log(tau), with the extra (log 1/p)^-2 factor in the unbalanced
-    case; 'pc-balanced' and 'pc-unbalanced' expect (n, p_c) samples.
-    """
-    if len(samples) < 3:
-        raise InsufficientDataError("need at least three sample points")
-    pts = []
-    for x, stat in samples:
-        if transform == "balanced":
-            val = (x ** alpha) * math.log(stat)
-        elif transform == "unbalanced":
-            val = (x ** alpha) * math.log(stat) / (math.log(1.0 / x) ** 2)
-        elif transform == "pc-balanced":
-            val = stat * (math.log(x) ** (1.0 / alpha))
-        elif transform == "pc-unbalanced":
-            val = stat * ((math.log(x) / (math.log(math.log(x)) ** 2)) ** (1.0 / alpha))
-        else:
-            raise ValueError(f"unknown transform {transform!r}")
-        pts.append((x, stat, val))
-    vals = [v for _, _, v in pts]
-    if min(vals) <= 0:
-        raise InsufficientDataError("transformed statistic must stay positive")
-    spread = max(vals) / min(vals)
-    return ScalingReport(transform, tuple(pts), spread, bound,
-                         None if bound is None else spread <= bound)
-
-
-def transform_for(c: Classification, statistic: str = "tau") -> str:
-    if c.kind is not Kind.CRITICAL:
-        raise ValueError("scaling transforms apply to critical families")
-    if statistic == "tau":
-        return "balanced" if c.balanced else "unbalanced"
-    return "pc-balanced" if c.balanced else "pc-unbalanced"
-
-
-# ---------------------------------------------------------------------------
-# emission
-
-
-CSV_HEADER = "family,n,p,trials,statistic,ci_low,ci_high,seed"
-
-
-def csv_rows(rows: Iterable[tuple]) -> str:
-    out = [CSV_HEADER]
-    for row in rows:
-        out.append(",".join(_cell(v) for v in row))
-    return "\n".join(out) + "\n"
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

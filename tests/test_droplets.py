@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from ubootstrap.geometry import Direction, line_index
 from ubootstrap.lattice import Box, HalfPlane, Window, closure
 from ubootstrap import droplets
 from ubootstrap.droplets import (
-    CriticalType,
     Droplet,
     Iceberg,
     MergeEvent,
@@ -18,11 +15,7 @@ from ubootstrap.droplets import (
     alpha_clusters,
     covering_algorithm,
     default_dhat,
-    is_critical_droplet,
-    is_internally_filled,
     is_internally_spanned,
-    is_strongly_connected,
-    is_u_crossed,
     iceberg_algorithm,
     minimal_droplet,
     smallest_iceberg,
@@ -35,6 +28,10 @@ U2 = builtin("two-neighbour")
 DUARTE = builtin("duarte")
 E1, E2 = Direction(1, 0), Direction(0, 1)
 AXES = (E1, E2, Direction(-1, 0), Direction(0, -1))
+
+
+def is_strongly_connected(sites, kappa):
+    return len(strongly_connected_components(sites, kappa)) == 1
 
 
 class TestDroplet:
@@ -65,9 +62,8 @@ class TestDroplet:
         d = minimal_droplet([(0, 0), (4, 0), (2, 3)], dirs)
         assert {(0, 0), (4, 0), (2, 3)} <= d.sites()
 
-    def test_face_translate_contains(self):
+    def test_translate_contains(self):
         d = minimal_droplet([(0, 0), (5, 3)], AXES)
-        assert d.face(E1) == {(5, y) for y in range(4)}
         t = d.translate((2, -1))
         assert t.sites() == {(x + 2, y - 1) for x, y in d.sites()}
         assert t.contains((2, -1)) and not t.contains((-1, 0))
@@ -258,12 +254,6 @@ class TestSpanning:
 
 
 class TestFillSpanPredicates:
-    def test_filled_examples(self):
-        box = [(x, y) for x in range(2) for y in range(2)]
-        assert is_internally_filled(box, box, U2)
-        assert is_internally_filled(box, [(0, 0), (1, 1)], U2)
-        assert not is_internally_filled(box, [], U2)
-
     def test_spanned_definitional_vs_algorithm(self):
         cls = classify(DUARTE)
         kap = kappa_of(DUARTE, cls, 0.0)
@@ -365,42 +355,6 @@ class TestIceberg:
         assert all(min(line_index(s, u) for s in d.sites()) > near for d in drops)
         assert not any(is_strongly_connected(a.sites() | b.sites(), kap)
                        for i, a in enumerate(drops) for b in drops[i + 1:])
-
-
-class TestCriticalDroplet:
-    def test_types(self):
-        p, xi, alpha = 0.1, 0.05, 1
-        w_scale = p ** (-alpha - 0.2)
-        h_scale = xi * p ** (-alpha) * math.log(1 / p)
-        tall = minimal_droplet([(0, 0), (3, int(2 * h_scale))], AXES)
-        assert is_critical_droplet(tall, p, xi, alpha, E2) is CriticalType.TYPE_T
-        long_ = minimal_droplet([(0, 0), (int(2 * w_scale), 1)], AXES)
-        assert is_critical_droplet(long_, p, xi, alpha, E2) is CriticalType.TYPE_L
-        tiny = minimal_droplet([(0, 0), (1, 1)], AXES)
-        assert is_critical_droplet(tiny, p, xi, alpha, E2) is CriticalType.NOT_CRITICAL
-
-
-class TestUCrossed:
-    def test_full_column_crosses(self):
-        strip = minimal_droplet([(x, y) for x in range(8) for y in range(6)], AXES)
-        A = {(3, y) for y in range(6)}
-        assert is_u_crossed(E2, strip, A, U2, kappa=4.0)
-
-    def test_empty_does_not_cross(self):
-        strip = minimal_droplet([(x, y) for x in range(8) for y in range(6)], AXES)
-        assert not is_u_crossed(E2, strip, set(), U2, kappa=4.0)
-
-    def test_staircase_within_kappa(self):
-        strip = minimal_droplet([(x, y) for x in range(10) for y in range(6)], AXES)
-        A = {(y, y) for y in range(6)}
-        assert is_u_crossed(E2, strip, A, U2, kappa=4.0)
-        far = {(3 * y, y) for y in range(6)}
-        assert not is_u_crossed(E2, strip, far, U2, kappa=2.0)
-
-    def test_downward_crossing(self):
-        strip = minimal_droplet([(x, y) for x in range(8) for y in range(6)], AXES)
-        assert is_u_crossed(Direction(0, -1), strip, {(3, y) for y in range(6)}, U2, kappa=4.0)
-        assert not is_u_crossed(Direction(0, -1), strip, {(3, 0)}, U2, kappa=2.0)
 
 
 def naive_merge_loop(pieces, steps, record=None):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ubootstrap.families import (
@@ -7,19 +9,19 @@ from ubootstrap.families import (
     builtin,
     load_family,
     parse_rule_file,
-    rule_file_text,
-    write_corpus,
 )
 
 
 def test_corpus_round_trips_through_rule_files(tmp_path):
-    paths = write_corpus(tmp_path)
-    assert [p.stem for p in paths] == FAMILY_IDS
-    for name, path in zip(FAMILY_IDS, paths):
-        fam, meta = parse_rule_file(path)
-        assert fam == builtin(name)
-        assert meta == BUILTIN_METADATA[name]
-        assert rule_file_text(fam, meta) == path.read_text()
+    for name in FAMILY_IDS:
+        fam = builtin(name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "name": name,
+            "rules": [[list(s) for s in sorted(rule)] for rule in fam.rules],
+            "metadata": BUILTIN_METADATA[name],
+        }))
+        assert parse_rule_file(path) == (fam, BUILTIN_METADATA[name])
         assert load_family(str(path)) == load_family(name)
 
 

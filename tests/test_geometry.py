@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ubootstrap.geometry import (
     Arc,
     Direction,
-    UNormContext,
     _assemble,
     _rebuild,
     arc_contains,
@@ -18,8 +17,6 @@ from ubootstrap.geometry import (
     line_index,
     open_semicircle,
     sort_directions,
-    u_norm,
-    unorm_context,
 )
 
 E1 = Direction(1, 0)
@@ -187,33 +184,3 @@ class TestArcs:
         assert sc.contains(E2)
         assert not sc.contains(E1) and not sc.contains(W)
         assert not sc.contains(S)
-
-
-class TestUNorm:
-    def test_zero(self):
-        ctx = UNormContext(E2, 0.5, True)
-        assert u_norm((0, 0), ctx) == 0.0
-
-    def test_euclidean_when_drift_off(self):
-        ctx = UNormContext(E2, 0.5, False)
-        assert u_norm((3, 4), ctx) == 5.0
-
-    def test_drift_formula(self):
-        ctx = UNormContext(E2, 0.5, True)
-        assert u_norm((4, 1), ctx) == pytest.approx(1 + 0.5 * 4)
-
-    def test_context_sigma(self):
-        ctx = unorm_context(Direction(-1, 2), E2)
-        assert ctx.sigma == pytest.approx(math.atan2(1, 2))
-        assert unorm_context(E2, E2).sigma == 0.0
-
-    @given(site_st, site_st)
-    def test_triangle_inequality_and_sandwich(self, p, q):
-        u = Direction(-1, 5)
-        ctx = unorm_context(u, E2)
-        s = (p[0] + q[0], p[1] + q[1])
-        assert u_norm(s, ctx) <= u_norm(p, ctx) + u_norm(q, ctx) + 1e-9
-        # |<p,u>| <= ||p||_u <= 2 ||p||_2
-        inner = abs(u.dot(p)) / u.norm()
-        assert inner <= u_norm(p, ctx) + 1e-9
-        assert u_norm(p, ctx) <= 2 * math.hypot(*p) + 1e-9

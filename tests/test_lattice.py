@@ -20,7 +20,7 @@ from ubootstrap.lattice import (
     closure,
     closure_rescan,
     infection_time,
-    percolates,
+    percolates_grid,
     strip_scan,
     torus_closure_grid,
 )
@@ -90,6 +90,9 @@ class TestClosure:
     def test_torus_window_rejected(self):
         with pytest.raises(ValueError):
             closure([(0, 0)], Window(Torus(8)), U2)
+        for w in (Window(Torus(8)), Window(Box(-6, -6, 7, 7), HalfPlane(E2, 0))):
+            with pytest.raises(ValueError):
+                infection_time([(-1, 0)], DUARTE, 10, w)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -98,15 +101,13 @@ class TestClosure:
         box = Box(-6, -6, 6, 6)
         cells = [(x, y) for x in range(-6, 6) for y in range(-6, 6)]
         seeds = set(data.draw(st.lists(st.sampled_from(cells), max_size=20)))
-        hp = region = None
+        hp = None
         if data.draw(st.booleans()):
             a, b = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
                              .filter(lambda v: v != (0, 0)))
             hp = HalfPlane(Direction.of(a, b), data.draw(st.integers(-4, 4)))
-        if data.draw(st.booleans()):
-            region = set(data.draw(st.lists(st.sampled_from(cells), max_size=100)))
         w = Window(box, hp)
-        assert closure(seeds, w, fam, region) == closure_rescan(seeds, w, fam, region)
+        assert closure(seeds, w, fam) == closure_rescan(seeds, w, fam)
 
     def test_halfplane_alone_matches_rescan(self):
         # a one-site rule fires on the half-plane alone, from every depth
@@ -162,16 +163,16 @@ class TestClosure:
 
 class TestPercolates:
     def test_full_and_empty(self):
-        n = 6
-        allsites = [(x, y) for x in range(n) for y in range(n)]
-        assert percolates(allsites, n, U2)
-        assert not percolates([], n, U2)
+        assert percolates_grid(np.ones((6, 6), dtype=bool), U2)
+        assert not percolates_grid(np.zeros((6, 6), dtype=bool), U2)
 
     def test_diagonal_fills_torus(self):
-        assert percolates([(i, i) for i in range(8)], 8, U2)
+        assert percolates_grid(np.eye(8, dtype=bool), U2)
 
     def test_single_site_does_not(self):
-        assert not percolates([(3, 3)], 8, U2)
+        grid = np.zeros((8, 8), dtype=bool)
+        grid[3, 3] = True
+        assert not percolates_grid(grid, U2)
 
 
 class TestInfectionTime:

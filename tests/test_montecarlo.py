@@ -6,20 +6,13 @@ import numpy as np
 import pytest
 
 from ubootstrap.families import builtin
-from ubootstrap.family import UpdateFamily, classify, nu
-from ubootstrap.lattice import TIMEOUT, Box, Window, infection_time
+from ubootstrap.family import UpdateFamily
+from ubootstrap.lattice import TIMEOUT, Box, Torus, Window, closure_rescan, infection_time
 from ubootstrap.montecarlo import (
-    Fraction01,
-    InsufficientDataError,
-    ScalingReport,
-    TrialConfig,
+    _perc_trial,
     _ring_window_grid,
-    csv_rows,
     estimate_pc,
-    percolation_probability,
     sample_tau,
-    scaling_fit,
-    transform_for,
     trial_rng,
     wilson_interval,
 )
@@ -47,48 +40,29 @@ class TestRng:
 
 
 class TestPercolationProbability:
+    """The p_c trial: one p-random torus, percolating or not."""
+
     def test_p_one(self):
-        cfg = TrialConfig(U2, 16, 1.0, seed=1, trials=20)
-        assert percolation_probability(cfg).value == 1.0
+        assert all(_perc_trial((U2, 16, 1.0, 1, t)) for t in range(20))
 
     def test_p_zero(self):
-        cfg = TrialConfig(U2, 16, 0.0, seed=1, trials=20)
-        assert percolation_probability(cfg).value == 0.0
+        assert not any(_perc_trial((U2, 16, 0.0, 1, t)) for t in range(20))
 
     def test_well_above_threshold(self):
-        cfg = TrialConfig(U2, 64, 0.2, seed=3, trials=60)
-        f = percolation_probability(cfg)
-        assert f.value > 0.9
-        assert f.ci_low <= f.value <= f.ci_high
+        succ = sum(_perc_trial((U2, 64, 0.2, 3, t)) for t in range(60))
+        lo, hi = wilson_interval(succ, 60)
+        assert succ / 60 > 0.9
+        assert lo <= succ / 60 <= hi
 
     def test_matches_naive_simulator(self):
-        # independent check: tiny torus, rescan closure on python sets
-        from ubootstrap.lattice import Torus, Window, closure_rescan
-        n, p, seed, trials = 8, 0.25, 11, 40
-        naive = 0
-        for t in range(trials):
+        # independent check, trial by trial: tiny torus, rescan closure on
+        # python sets
+        n, p, seed = 8, 0.25, 11
+        for t in range(40):
             grid = trial_rng(seed, t).random((n, n)) < p
             pts = {(x, y) for y in range(n) for x in range(n) if grid[y, x]}
             closed = closure_rescan(pts, Window(Torus(n)), U2)
-            naive += len(closed) == n * n
-        cfg = TrialConfig(U2, n, p, seed=seed, trials=trials)
-        assert percolation_probability(cfg).successes == naive
-
-    def test_deterministic_across_workers(self):
-        cfg = TrialConfig(U2, 32, 0.1, seed=5, trials=24)
-        old = os.environ.get("UBP_THREADS")
-        try:
-            os.environ["UBP_THREADS"] = "1"
-            a = percolation_probability(cfg)
-            os.environ["UBP_THREADS"] = "4"
-            b = percolation_probability(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("UBP_THREADS", None)
-            else:
-                os.environ["UBP_THREADS"] = old
-        assert a == b
-
+            assert _perc_trial((U2, n, p, seed, t)) == (len(closed) == n * n), t
 
 class TestEstimatePc:
     def test_toy_family_decreases_with_n(self):
@@ -176,46 +150,21 @@ class TestSampleTau:
         assert a == b
 
 
-class TestScalingFit:
-    def test_exact_balanced_inversion(self):
-        alpha, c = 1, 2.5
-        samples = [(p, math.exp(c * p ** (-alpha))) for p in (0.05, 0.08, 0.1)]
-        rep = scaling_fit(samples, "balanced", alpha=alpha)
-        assert rep.spread == pytest.approx(1.0)
-
-    def test_exact_unbalanced_inversion(self):
-        alpha, c = 1, 0.4
-        samples = [(p, math.exp(c * p ** (-alpha) * math.log(1 / p) ** 2))
-                   for p in (0.05, 0.08, 0.12)]
-        rep = scaling_fit(samples, "unbalanced", alpha=alpha)
-        assert rep.spread == pytest.approx(1.0)
-        # the wrong transform must show a larger spread
-        rep2 = scaling_fit(samples, "balanced", alpha=alpha)
-        assert rep2.spread > rep.spread
-
-    def test_insufficient(self):
-        with pytest.raises(InsufficientDataError):
-            scaling_fit([(0.1, 10.0)], "balanced")
-
-    def test_transform_for(self):
-        assert transform_for(classify(U2)) == "balanced"
-        assert transform_for(classify(builtin("duarte"))) == "unbalanced"
-
-    def test_bound_flag(self):
-        samples = [(0.1, 100.0), (0.2, 10.0), (0.3, 5.0)]
-        rep = scaling_fit(samples, "balanced", bound=1000.0)
-        assert rep.passed is True
-
-
 class TestEmission:
-    def test_csv_shape(self):
-        text = csv_rows([("two-neighbour", 64, 0.05, 100, 0.5, 0.4, 0.6, 7)])
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("family,")
-        assert lines[1] == "two-neighbour,64,0.05,100,0.5,0.4,0.6,7"
-
     def test_wilson_basic(self):
         lo, hi = wilson_interval(50, 100)
         assert lo < 0.5 < hi
         lo1, hi1 = wilson_interval(100, 100)
         assert hi1 == 1.0 and lo1 > 0.9
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_pc(U2, 0),
+    lambda: estimate_pc(U2, 8, trials=0),
+    lambda: sample_tau(U2, 0.1, trials=4, t_max=10, r0=0),
+], ids=["n=0", "trials=0", "r0=0"])
+def test_empty_sizes_rejected(call):
+    # an empty torus would count as filled, no trials would divide by zero,
+    # and a zero-radius window has no origin
+    with pytest.raises(ValueError):
+        call()

@@ -5,6 +5,7 @@ import importlib
 import re
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,3 +95,51 @@ def test_one_merge_loop():
             if isinstance(top, ast.FunctionDef)}
     for name in ("covering_algorithm", "spanning_algorithm", "iceberg_algorithm"):
         assert not any(isinstance(n, ast.While) for n in ast.walk(tops[name])), name
+
+
+# Names that nothing in src/ or perfbench/ calls, kept because a test uses
+# them as an independent oracle for an engine's output: name -> that test.
+ORACLES = {
+    "closure_rescan": "test_lattice.py::test_matches_rescan_oracle_on_random_families",
+    "infection_time": "test_lattice.py::test_sweeps_match_rescan_on_random_families",
+    "is_internally_spanned": "test_droplets.py::test_spanned_definitional_vs_algorithm",
+    "Droplet.diam": "test_droplets.py::test_extremal_bound",
+    "Droplet.proj": "test_droplets.py::test_aizenman_lebowitz_projections",
+    "Direction.angle": "test_geometry.py::test_ccw_key_agrees_with_float_angles",
+}
+
+
+def _mentions(tree) -> Counter:
+    """Names and attribute names read or called anywhere under ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _definitions(tree):
+    """(qualified name, short name, node) of every top-level function and
+    class, and of every non-dunder method of those classes."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    yield f"{top.name}.{node.name}", node.name, node
+
+
+def test_every_name_has_a_caller():
+    # a name stays when the library or the benchmark names it outside its
+    # own definition, or when it is a test's oracle; anything else is dead
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    mentioned = sum((_mentions(tree) for tree in trees), Counter())
+    bench = "\n".join(path.read_text() for path in (ROOT / "perfbench").glob("*.py"))
+    uncalled = {qual for tree in trees for qual, name, node in _definitions(tree)
+                if mentioned[name] == _mentions(node)[name]
+                and not re.search(rf"\b{name}\b", bench)}
+    assert uncalled == set(ORACLES), (f"uncalled: {sorted(uncalled - set(ORACLES))}; "
+                                      f"oracles with a caller: {sorted(set(ORACLES) - uncalled)}")
+    for qual, test_id in ORACLES.items():
+        path, _, test = test_id.partition("::")
+        found = [node for node in ast.walk(ast.parse((ROOT / "tests" / path).read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == test]
+        assert found and _mentions(found[0])[qual.split(".")[-1]], (qual, test_id)
