@@ -346,13 +346,11 @@ def alpha_clusters(K: Iterable[Site], alpha: int, kappa: float) -> tuple[list[fr
 # covering algorithm
 
 
-def default_dhat(directions: Sequence[Direction], kappa: float, alpha: int = 1,
-                 radius: Optional[float] = None) -> Droplet:
+def default_dhat(directions: Sequence[Direction], kappa: float, alpha: int = 1) -> Droplet:
     """The fixed large droplet used for seeding and bridging: the minimal
-    droplet containing a Euclidean ball, by default of radius
-    max(3, alpha - 1) * kappa (large enough to hold any alpha-cluster)."""
-    r = radius if radius is not None else max(3.0, float(alpha - 1)) * kappa
-    r = max(r, 1.0)
+    droplet containing a Euclidean ball of radius max(3, alpha - 1) * kappa
+    (large enough to hold any alpha-cluster)."""
+    r = max(max(3.0, float(alpha - 1)) * kappa, 1.0)
     k = int(math.ceil(r))
     ball = [(x, y) for x in range(-k, k + 1) for y in range(-k, k + 1)
             if x * x + y * y <= r * r + 1e-9]
@@ -448,8 +446,7 @@ def _droplet_merge(directions: Sequence[Direction]):
 
 
 def covering_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
-                       alpha: int, kappa: float,
-                       d_hat: Optional[Droplet] = None) -> CoverResult:
+                       alpha: int, kappa: float) -> CoverResult:
     """Covering loop: seed a copy of the fixed droplet on each alpha-cluster
     and repeatedly replace two droplets bridgeable by one translate of that
     droplet with the minimal droplet of their union.  One step, applied at
@@ -461,7 +458,7 @@ def covering_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
     """
     K = sorted(set(K))
     clusters, dust = alpha_clusters(K, alpha, kappa)
-    d_hat = d_hat or default_dhat(directions, kappa, alpha)
+    d_hat = default_dhat(directions, kappa, alpha)
     if not clusters:
         return CoverResult([], [], dust, [], [], d_hat)
 
@@ -510,7 +507,7 @@ class _SpanPart(NamedTuple):
 
 
 def spanning_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
-                       kappa: float, window: Optional[Window] = None) -> SpanResult:
+                       kappa: float) -> SpanResult:
     """Spanning loop: start from singletons, merge two parts while the union
     of their closures is strongly connected, return the minimal droplets of
     the closed parts.  One step, applied at the lowest index pair first; the
@@ -520,7 +517,7 @@ def spanning_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
     if not K:
         return SpanResult([], [], [], [])
     dirs = tuple(sort_directions(directions))
-    w = window or _span_window(K, dirs, kappa)
+    w = _span_window(K, dirs, kappa)
     disc = OGrid.from_sites(disc_offsets(kappa))
 
     def part(seeds: frozenset, closed: set) -> _SpanPart:
@@ -542,14 +539,14 @@ def spanning_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
 
 
 def span_components(K: Iterable[Site], U, directions: Sequence[Direction],
-                    kappa: float, window: Optional[Window] = None) -> list[Droplet]:
+                    kappa: float) -> list[Droplet]:
     """The component formulation: minimal droplets of the strongly connected
     components of the closure of K.  Must equal the merge-loop output."""
     K = sorted(set(K))
     if not K:
         return []
     dirs = tuple(sort_directions(directions))
-    w = window or _span_window(K, dirs, kappa)
+    w = _span_window(K, dirs, kappa)
     closed = closure(set(K), w, U)
     return [minimal_droplet(c, dirs) for c in strongly_connected_components(closed, kappa)]
 
@@ -638,9 +635,7 @@ class IcebergResult:
 
 
 def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
-                      u_star: Direction, U, kappa: float,
-                      d_hat: Optional[Droplet] = None,
-                      directions: Optional[Sequence[Direction]] = None) -> IcebergResult:
+                      u_star: Direction, U, kappa: float) -> IcebergResult:
     """Drift-side covering: three steps in priority order, each applied at
     the lowest index (pair) first.  Step 1 absorbs a droplet joinable to the
     half-plane into an iceberg, step 2 merges a piece pair joinable together
@@ -655,9 +650,8 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
     K = sorted(set(K))
     if any(line_index(s, u) < 0 for s in K):
         raise ValueError("seeds must avoid the half-plane")
-    if directions is None:
-        directions = (u_star, u_star.neg(), u_star.perp(), u_star.perp().neg())
-    d_hat = d_hat or default_dhat(directions, kappa)
+    directions = (u_star, u_star.neg(), u_star.perp(), u_star.perp().neg())
+    d_hat = default_dhat(directions, kappa)
     if not K:
         return IcebergResult([], [], d_hat, {1: 0, 2: 0, 3: 0})
 

@@ -3,6 +3,12 @@ subcritical/critical/supercritical trichotomy, direction difficulties via the
 strip oracle, balancedness, droplet direction selection, and the handful of
 derived constants (nu, rho-hat, kappa) the droplet algorithms need.
 
+The stable set is kept as the arrangement it is computed on: the
+quasi-stable directions +-perp(x), x in N, cut the circle into points and
+open gaps, and each piece is stable or not as a whole.  The trichotomy,
+alpha, balancedness and drift read S only through its content in
+semicircles, and a semicircle bounded by a cut is a run of those pieces.
+
 Difficulty values are decided by bounded search and carry an explicit
 INFINITE_WITHIN_WINDOW verdict when the search window is exhausted; nothing
 in this module silently equates that verdict with a proof of infinity.
@@ -12,26 +18,24 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .geometry import (
-    Arc,
     Direction,
     Site,
-    _assemble,
-    arc_intersect,
     ccw_key,
-    closed_semicircle,
     cross,
     direction_between,
     euclid,
     line_index,
-    open_semicircle,
+    open_arc_overlap,
     rotate,
     sort_directions,
+    strictly_between,
 )
 from .lattice import (
     Box,
@@ -127,28 +131,74 @@ def nu(U: UpdateFamily) -> float:
 
 @dataclass(frozen=True)
 class StableSet:
-    """The stable directions as a normalized arc list (closed rational arcs
-    and isolated directions)."""
+    """The stable set S on the arrangement it is computed on.
 
-    arcs: tuple[Arc, ...]
+    ``cuts`` is the quasi-stable set, sorted by angle; ``point[i]`` says
+    whether cuts[i] is stable and ``gap[i]`` whether the open gap from
+    cuts[i] to cuts[i + 1] (wrapping round) is.  The cuts are closed under
+    negation, so cuts[i + n/2] == -cuts[i], and a semicircle whose ends are
+    cuts is a run of cuts and gaps.  S is closed, so both ends of a stable
+    gap are stable.
+    """
+
+    cuts: tuple[Direction, ...]
+    point: tuple[bool, ...]
+    gap: tuple[bool, ...]
+
+    def _locate(self, d: Direction) -> tuple[int, bool]:
+        """(i, at_cut): d is cuts[i], or lies inside gap i; i is -1 when d
+        comes before cuts[0], inside the gap that wraps round."""
+        i = bisect_right(self.cuts, d.angle_key(), key=Direction.angle_key) - 1
+        return i, self.cuts[i] == d
 
     def contains(self, d: Direction) -> bool:
-        return any(a.contains(d) for a in self.arcs)
+        i, at_cut = self._locate(d)
+        return self.point[i] if at_cut else self.gap[i]
 
     def is_empty(self) -> bool:
-        return not self.arcs
+        return not (any(self.point) or any(self.gap))
 
     def isolated_points(self) -> list[Direction]:
-        return [a.start for a in self.arcs if a.is_point()]
+        return [c for i, c in enumerate(self.cuts)
+                if self.point[i] and not (self.gap[i - 1] or self.gap[i])]
 
     def endpoint_directions(self) -> list[Direction]:
+        """The isolated points and the ends of the arcs, sorted by angle."""
+        return [c for i, c in enumerate(self.cuts)
+                if self.point[i] and not (self.gap[i - 1] and self.gap[i])]
+
+    def arcs(self) -> list[tuple[Direction, Direction]]:
+        """The maximal arcs of S that are not points, as closed ccw arcs
+        (start, end) in the angle order of their starts.  A fully stable
+        circle has no ends and gives none."""
+        n = len(self.cuts)
         out = []
-        for a in self.arcs:
-            if a.full:
-                continue
-            out.append(a.start)
-            out.append(a.end)
-        return sort_directions(out)
+        for i in range(n):
+            if self.gap[i] and not self.gap[i - 1]:
+                j = i + 1
+                while self.gap[j % n]:
+                    j += 1
+                out.append((self.cuts[i], self.cuts[j % n]))
+        return out
+
+    def semicircle(self, d: Direction, closed: bool) -> tuple[list[Direction], bool]:
+        """S inside the semicircle from d ccw to -d, with or without its
+        ends: (its isolated points, sorted by angle; whether it holds an arc
+        that is not a point)."""
+        n = len(self.cuts)
+        i, at_cut = self._locate(d)
+        if at_cut:
+            gaps = range(i, i + n // 2)
+            pts = range(i, i + n // 2 + 1) if closed else range(i + 1, i + n // 2)
+        else:
+            # d and -d lie inside gaps i and i + n/2, both partly covered
+            gaps = range(i, i + n // 2 + 1)
+            pts = range(i + 1, i + n // 2 + 1)
+        out = [self.cuts[k % n] for k in pts
+               if self.point[k % n]
+               and not (k - 1 in gaps and self.gap[(k - 1) % n])
+               and not (k in gaps and self.gap[k % n])]
+        return sorted(out, key=Direction.angle_key), any(self.gap[k % n] for k in gaps)
 
 
 def stable_set(U: UpdateFamily) -> StableSet:
@@ -158,16 +208,16 @@ def stable_set(U: UpdateFamily) -> StableSet:
     H_u, that is on the signs of <u, x>, and <u, x> changes sign only at
     u = +-perp(x).  Those directions (the quasi-stable set) cut the circle
     into points and open gaps.  On each piece the offsets inside H_u stay
-    the same, so one direction decides the whole piece.  The cuts and their
-    answers are assembled into the normalized arc list.
+    the same, so one direction decides the whole piece.
     """
     if not U.rules:
         raise EmptyFamilyError("stable set of an empty family")
     cuts = quasi_stable_set(U)
     n = len(cuts)
-    pt_in = [is_stable(d, U) for d in cuts]
-    gap_in = [is_stable(direction_between(cuts[i], cuts[(i + 1) % n]), U) for i in range(n)]
-    return StableSet(tuple(_assemble(cuts, pt_in, gap_in)))
+    return StableSet(
+        tuple(cuts),
+        tuple(is_stable(d, U) for d in cuts),
+        tuple(is_stable(direction_between(cuts[i], cuts[(i + 1) % n]), U) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,32 +421,12 @@ def _sweep_candidates(S: StableSet) -> list[Direction]:
     return sort_directions(out)
 
 
-def _arc_pieces(S: StableSet, window_arc: Arc) -> tuple[list[Direction], bool]:
-    """Intersect S with a semicircle; return (isolated directions inside,
-    whether any non-degenerate piece intersects)."""
-    inter = arc_intersect(list(S.arcs), [window_arc])
-    pts = []
-    has_arc = False
-    for piece in inter:
-        if piece.is_point():
-            pts.append(piece.start)
-        else:
-            has_arc = True
-    return pts, has_arc
-
-
 def _sides_below(U, u, threshold, window) -> tuple[DifficultyResult, DifficultyResult]:
     """Plus and minus searches for a witness of cardinality below threshold.
     Within the window, alpha(u) >= threshold unless both sides resolve, and
     both side difficulties are >= threshold when neither does."""
     return (difficulty_side(u, "plus", U, window, threshold - 1),
             difficulty_side(u, "minus", U, window, threshold - 1))
-
-
-def _interior_sample(arc: Arc) -> Direction:
-    if arc.start == arc.end:  # punctured circle
-        return arc.start.perp()
-    return direction_between(arc.start, arc.end)
 
 
 def _gap_is_wide(p: Direction, q: Direction) -> bool:
@@ -412,16 +442,8 @@ def _select_balanced_directions(U, S, alpha, window) -> list[Direction]:
         r = difficulty(d, U, window, max_cardinality=alpha)
         if not r.resolved or r.value >= alpha:
             chosen.add(d)
-    interiors = []
-    for a in S.arcs:
-        if a.is_point() or a.full:
-            continue
-        interiors.append(a)
-        chosen.add(_interior_sample(a))
-    for a in S.arcs:
-        if a.full:
-            # whole circle stable: four axis interior samples suffice
-            return [Direction(1, 0), Direction(0, 1), Direction(-1, 0), Direction(0, -1)]
+    arcs = S.arcs()
+    chosen.update(direction_between(*a) for a in arcs)
     # endpoints qualify only if both sides check out
     for d in S.endpoint_directions():
         if d in chosen:
@@ -440,14 +462,12 @@ def _select_balanced_directions(U, S, alpha, window) -> list[Direction]:
                 break
         if wide is None:
             return order
-        p, q = wide
-        gap = Arc(p, q, False, False) if (n > 1 or p != q) else Arc(p, p, False, False)
         progressed = False
-        for a in interiors:
-            interior = Arc(a.start, a.end, False, False)
-            inter = arc_intersect([interior], [gap])
-            for piece in (inter[:1] + inter[-1:]):
-                s = piece.start if piece.is_point() else _interior_sample(piece)
+        # sample the first and last piece of each arc's interior in the gap
+        for a in arcs:
+            pieces = open_arc_overlap(a, wide)
+            for piece in pieces[:1] + pieces[-1:]:
+                s = direction_between(*piece)
                 if s not in chosen:
                     chosen.add(s)
                     progressed = True
@@ -474,7 +494,7 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Clas
     cand = _sweep_candidates(S)
     finite_cands = []  # (d, isolated pts strictly inside the open semicircle d -> -d)
     for d in cand:
-        pts, has_arc = _arc_pieces(S, open_semicircle(d))
+        pts, has_arc = S.semicircle(d, closed=False)
         if not pts and not has_arc:
             cls.kind = Kind.SUPERCRITICAL
             return cls
@@ -519,7 +539,7 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Clas
     # points of difficulty <= alpha
     cls.balanced = False
     for d in cand:
-        pts, has_arc = _arc_pieces(S, closed_semicircle(d))
+        pts, has_arc = S.semicircle(d, closed=True)
         if has_arc:
             continue
         ok = True
@@ -580,13 +600,11 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Clas
                 diffs.setdefault(e, r)
                 if (not r.resolved) or r.value >= alpha:
                     pool.append(e)
-        for a in S.arcs:
-            if a.is_point():
-                continue
-            s = _interior_sample(a)
+        for start, end in S.arcs():
+            s = direction_between(start, end)
             if cross(ustar, s) * sign > 0:
                 pool.append(s)
-            for e in (a.start, a.end):
+            for e in (start, end):
                 if cross(ustar, e) * sign > 0 and not any(
                         r.resolved for r in _sides_below(U, e, alpha, window)):
                     pool.append(e)
@@ -721,21 +739,21 @@ def iceberg_u0(U: UpdateFamily, u_star: Direction, S: StableSet,
     """A rational direction strictly between u* and every difference
     perpendicular, inside the stable component of u*, on the drift side.
 
-    On the returned interval the leftward side difficulty stays unresolved,
-    and triangles with faces perpendicular to u0, u* and the base direction
-    are closed next to the half-plane.
+    u* has drift when exactly one of its side difficulties resolves.  On the
+    returned interval the other side stays unresolved, and triangles with
+    faces perpendicular to u0, u* and the base direction are closed next to
+    the half-plane.
     """
+    p = difficulty_side(u_star, "plus", U, window, max_cardinality)
     m = difficulty_side(u_star, "minus", U, window, max_cardinality)
-    if m.resolved:
+    if p.resolved == m.resolved:
         raise NoDriftDirectionError(
-            f"minus side of {u_star} resolved at {m.value}; no drift")
-    comp = None
-    for a in S.arcs:
-        if not a.is_point() and not a.full and a.contains(u_star):
-            comp = a
-            break
+            f"side difficulties of {u_star} are {p.value} and {m.value}; no drift")
+    comp = next(((start, end) for start, end in S.arcs()
+                 if u_star in (start, end) or strictly_between(start, end, u_star)), None)
     if comp is None:
         raise NoDriftDirectionError(f"{u_star} is not in a non-trivial stable interval")
+    start, end = comp
 
     # minimal angular distance from u* to any difference perpendicular
     best_key = None
@@ -746,14 +764,13 @@ def iceberg_u0(U: UpdateFamily, u_star: Direction, S: StableSet,
         if best_key is None or k < best_key:
             best_key = k
 
-    ccw_side = comp.start == u_star or (comp.start != u_star and comp.end != u_star)
-    spin = Direction(1, 1) if ccw_side else Direction(1, -1)
+    # the interval reaches ccw of u* unless u* is its ccw end
+    spin = Direction(1, 1) if end != u_star else Direction(1, -1)
     n = 1
     while n < 1 << 40:
         u0 = rotate(u_star, Direction.of(n, spin.b))
         k = min(ccw_key(u_star, u0), ccw_key(u0, u_star))
-        inside = comp.contains(u0) and u0 not in (comp.start, comp.end)
-        if inside and (best_key is None or k < best_key):
+        if strictly_between(start, end, u0) and (best_key is None or k < best_key):
             return u0
         n *= 2
     raise NoDriftDirectionError("could not place u0 inside the stable interval")

@@ -1,7 +1,8 @@
 """Exact discrete geometry on Z^2 and the rational circle.
 
 Directions are primitive integer vectors; every angular comparison is done
-with integer (or Fraction) arithmetic, so arc computations are exact.
+with integer (or Fraction) arithmetic, so orders, antipodes and open arcs of
+directions are exact.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Site = tuple[int, int]
 
@@ -116,6 +117,27 @@ def sort_directions(dirs: Iterable[Direction]) -> list[Direction]:
     return sorted(set(dirs), key=Direction.angle_key)
 
 
+def strictly_between(a: Direction, b: Direction, d: Direction) -> bool:
+    """d lies strictly inside the open ccw arc from a to b; for a == b that
+    arc is the full circle minus a."""
+    return d != a and (a == b or ccw_key(a, d) < ccw_key(a, b))
+
+
+def open_arc_overlap(a: tuple[Direction, Direction],
+                     b: tuple[Direction, Direction]) -> list[tuple[Direction, Direction]]:
+    """The pieces of the intersection of two open ccw arcs, each an open arc
+    (start, end), in the angle order of their starts.
+
+    No endpoint of either arc lies in the intersection, so the pieces are
+    exactly the gaps between consecutive endpoints that lie in both arcs.
+    """
+    ends = sort_directions([*a, *b])
+    n = len(ends)
+    gaps = [(ends[i], ends[(i + 1) % n]) for i in range(n)]
+    return [g for g in gaps
+            if strictly_between(*a, s := direction_between(*g)) and strictly_between(*b, s)]
+
+
 # ---------------------------------------------------------------------------
 # integer half-plane primitives
 
@@ -128,171 +150,6 @@ def line_index(p: Site, u: Direction) -> int:
     H_u is {p : line_index(p, u) < 0}.
     """
     return u.dot(p)
-
-
-# ---------------------------------------------------------------------------
-# arcs
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Counterclockwise arc of the circle from ``start`` to ``end``.
-
-    Degenerate forms: start == end with both endpoints closed is the single
-    direction; start == end with both endpoints open is the full circle minus
-    that direction; ``full`` marks the whole circle.
-    """
-
-    start: Direction
-    end: Direction
-    closed_start: bool = True
-    closed_end: bool = True
-    full: bool = False
-
-    def __post_init__(self):
-        if self.full:
-            if self.start != self.end or not (self.closed_start and self.closed_end):
-                raise ValueError("full arc must carry matching closed endpoints")
-        elif self.start == self.end and self.closed_start != self.closed_end:
-            raise ValueError("half-closed arc with equal endpoints is ambiguous")
-
-    @staticmethod
-    def full_circle() -> "Arc":
-        e1 = Direction(1, 0)
-        return Arc(e1, e1, True, True, full=True)
-
-    @staticmethod
-    def point(d: Direction) -> "Arc":
-        return Arc(d, d, True, True)
-
-    def is_point(self) -> bool:
-        return not self.full and self.start == self.end and self.closed_start
-
-    def contains(self, d: Direction) -> bool:
-        if self.full:
-            return True
-        if self.start == self.end:
-            inside = d == self.start
-            return inside if self.closed_start else not inside
-        if d == self.start:
-            return self.closed_start
-        if d == self.end:
-            return self.closed_end
-        return ccw_key(self.start, d) < ccw_key(self.start, self.end)
-
-    def __repr__(self):
-        if self.full:
-            return "Arc(full)"
-        if self.is_point():
-            return f"Arc[{self.start}]"
-        lo = "[" if self.closed_start else "("
-        hi = "]" if self.closed_end else ")"
-        return f"Arc{lo}{self.start},{self.end}{hi}"
-
-
-def arc_contains(arcs: Sequence[Arc], d: Direction) -> bool:
-    return any(a.contains(d) for a in arcs)
-
-
-def _cut_points(arc_lists: Sequence[Sequence[Arc]]) -> list[Direction]:
-    cuts = []
-    for arcs in arc_lists:
-        for a in arcs:
-            if not a.full:
-                cuts.append(a.start)
-                cuts.append(a.end)
-    return sort_directions(cuts)
-
-
-def _assemble(cuts: list[Direction], pt_in: list[bool], gap_in: list[bool]) -> list[Arc]:
-    """Rebuild a normalized arc list from membership on the circular
-    arrangement: pt_in[i] for the cut direction, gap_in[i] for the open gap
-    from cuts[i] to cuts[(i+1) % n]."""
-    n = len(cuts)
-    if all(pt_in) and all(gap_in):
-        return [Arc.full_circle()]
-    if not any(pt_in) and not any(gap_in):
-        return []
-    if n == 1:
-        # single cut: either the point, the punctured circle, or handled above
-        if pt_in[0] and not gap_in[0]:
-            return [Arc.point(cuts[0])]
-        return [Arc(cuts[0], cuts[0], False, False)]
-
-    # pieces in circular order: pt 0, gap 0, pt 1, gap 1, ...
-    member = []
-    for i in range(n):
-        member.append(("pt", i, pt_in[i]))
-        member.append(("gap", i, gap_in[i]))
-    m = len(member)
-    # rotate to start just after an out->in transition
-    start = None
-    for i in range(m):
-        if member[i][2] and not member[i - 1][2]:
-            start = i
-            break
-    assert start is not None
-    out: list[Arc] = []
-    i = start
-    seen = 0
-    while seen < m:
-        if not member[i][2]:
-            i = (i + 1) % m
-            seen += 1
-            continue
-        run = []
-        while member[i][2] and seen < m:
-            run.append(member[i])
-            i = (i + 1) % m
-            seen += 1
-        kind0, i0, _ = run[0]
-        kind1, i1, _ = run[-1]
-        if kind0 == "pt":
-            s, cs = cuts[i0], True
-        else:
-            s, cs = cuts[i0], False
-        if kind1 == "pt":
-            e, ce = cuts[i1], True
-        else:
-            e, ce = cuts[(i1 + 1) % n], False
-        if s == e and len(run) == 1 and kind0 == "pt":
-            out.append(Arc.point(s))
-        elif s == e and not cs and not ce:
-            out.append(Arc(s, e, False, False))
-        else:
-            out.append(Arc(s, e, cs, ce))
-    out.sort(key=lambda a: a.start.angle_key())
-    return out
-
-
-def _rebuild(arc_lists: Sequence[Sequence[Arc]], predicate) -> list[Arc]:
-    """Evaluate ``predicate(memberships)`` over the arrangement of all input
-    arc lists and assemble the result.  memberships is a tuple of booleans,
-    one per input list."""
-    cuts = _cut_points(arc_lists)
-    if not cuts:
-        value = predicate(tuple(bool(arcs) and arcs[0].full for arcs in arc_lists))
-        return [Arc.full_circle()] if value else []
-    n = len(cuts)
-    pt_in, gap_in = [], []
-    for i in range(n):
-        pt_in.append(predicate(tuple(arc_contains(arcs, cuts[i]) for arcs in arc_lists)))
-        sample = direction_between(cuts[i], cuts[(i + 1) % n])
-        gap_in.append(predicate(tuple(arc_contains(arcs, sample) for arcs in arc_lists)))
-    return _assemble(cuts, pt_in, gap_in)
-
-
-def arc_intersect(a: Sequence[Arc], b: Sequence[Arc]) -> list[Arc]:
-    return _rebuild([a, b], lambda m: m[0] and m[1])
-
-
-def open_semicircle(d: Direction) -> Arc:
-    """Open semicircle {e : cross(d, e) > 0}, i.e. strictly ccw of d."""
-    return Arc(d, d.neg(), False, False)
-
-
-def closed_semicircle(d: Direction) -> Arc:
-    return Arc(d, d.neg(), True, True)
 
 
 def euclid(p: Site, q: Site) -> float:

@@ -49,10 +49,6 @@ class Box:
     def contains(self, s: Site) -> bool:
         return self.x0 <= s[0] < self.x1 and self.y0 <= s[1] < self.y1
 
-    @staticmethod
-    def radius(r: int) -> "Box":
-        return Box(-r, -r, r + 1, r + 1)
-
 
 @dataclass(frozen=True)
 class Torus:

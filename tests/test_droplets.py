@@ -318,7 +318,8 @@ class TestIceberg:
         d_hat = default_dhat((E1, E2, Direction(-1, 0), Direction(0, -1)), kap)
         # place the seed far above the half-plane
         s = (0, int(4 * d_hat.diam()) + 50)
-        res = iceberg_algorithm([s], u, u0, u_star, DUARTE, kap, d_hat=d_hat)
+        res = iceberg_algorithm([s], u, u0, u_star, DUARTE, kap)
+        assert res.d_hat == d_hat
         assert len(res.pieces) == 1
         assert isinstance(res.pieces[0], type(d_hat))
         assert res.merge_log == []

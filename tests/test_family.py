@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -31,6 +32,7 @@ from ubootstrap.lattice import Box, HalfPlane, StripVerdict, Window, closure_res
 
 U2 = builtin("two-neighbour")
 DUARTE = builtin("duarte")
+DUARTE_MIRROR = DUARTE.transformed((-1, 0, 0, 1))  # x -> -x swaps the sides of (0, 1)
 VEH = builtin("van-enter-hulshof")
 R1 = builtin("r1")
 R3 = builtin("r3")
@@ -39,6 +41,19 @@ E1, E2 = Direction(1, 0), Direction(0, 1)
 OFFSETS = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
 SMALL_FAMILIES = st.lists(st.lists(st.sampled_from(OFFSETS), min_size=1, max_size=3),
                           min_size=1, max_size=4).map(UpdateFamily.of)
+
+
+def _compose(m, n):
+    """The map m after n, both as (m0, m1, m2, m3): (x, y) -> (m0 x + m1 y, m2 x + m3 y)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+# GL2(Z) is generated by the shears and the two reflections below
+UNIMODULAR = st.lists(st.sampled_from([(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1),
+                                       (-1, 0, 0, 1), (0, 1, 1, 0)]),
+                      max_size=4).map(lambda ms: functools.reduce(_compose, ms, (1, 0, 0, 1)))
 
 
 def sample_directions(count):
@@ -58,6 +73,13 @@ def sample_directions(count):
 def stable_by_rules(d, U):
     """The definition: u is stable iff no rule lies inside H_u."""
     return all(any(d.dot(x) >= 0 for x in rule) for rule in U.rules)
+
+
+def cuts_by_rules(U, *extra):
+    """The perpendiculars of every rule site, both ways, and ``extra``,
+    sorted by angle."""
+    perps = {Direction.of(*x).perp() for rule in U.rules for x in rule}
+    return sort_directions(perps | {d.neg() for d in perps} | set(extra))
 
 
 def voracious(Z, u, U):
@@ -113,12 +135,14 @@ class TestStability:
 
     def test_stable_set_two_neighbour(self):
         S = stable_set(U2)
-        assert sorted(S.isolated_points(), key=Direction.angle_key) == [
+        assert S.isolated_points() == S.endpoint_directions() == [
             E1, E2, Direction(-1, 0), Direction(0, -1)]
-        assert len(S.arcs) == 4
+        assert S.arcs() == []
 
     def test_stable_set_r3_full(self):
-        assert [a.full for a in stable_set(R3).arcs] == [True]
+        S = stable_set(R3)
+        assert all(S.point) and all(S.gap)
+        assert S.arcs() == [] and S.endpoint_directions() == []
 
     def test_stable_set_r1_empty(self):
         assert stable_set(R1).is_empty()
@@ -136,13 +160,31 @@ class TestStability:
     def test_stable_set_matches_rule_definition_on_random_families(self, U):
         # every cut direction, one direction inside each gap between
         # consecutive cuts, and a fixed spread of directions
-        perps = {Direction.of(*x).perp() for rule in U.rules for x in rule}
-        cuts = sort_directions(perps | {d.neg() for d in perps})
+        cuts = cuts_by_rules(U)
         gaps = [direction_between(cuts[i], cuts[(i + 1) % len(cuts)]) for i in range(len(cuts))]
         S = stable_set(U)
         for d in cuts + gaps + sample_directions(360):
             assert S.contains(d) == stable_by_rules(d, U), d
             assert is_stable(d, U) == stable_by_rules(d, U), d
+
+    @given(SMALL_FAMILIES)
+    @settings(max_examples=60, deadline=None)
+    def test_semicircle_matches_rule_definition(self, U):
+        # the oracle refines the cuts with d and -d, so the semicircle from
+        # d to -d is a run of them, and samples each gap of the run
+        S = stable_set(U)
+        for d in family._sweep_candidates(S):
+            cuts = cuts_by_rules(U, d, d.neg())
+            i = cuts.index(d)
+            run = [cuts[(i + k) % len(cuts)] for k in range(len(cuts) // 2 + 1)]
+            assert run[-1] == d.neg()
+            gaps = [stable_by_rules(direction_between(p, q), U) for p, q in zip(run, run[1:])]
+            for closed in (False, True):
+                pts = [p for k, p in enumerate(run)
+                       if (closed or 0 < k < len(run) - 1) and stable_by_rules(p, U)
+                       and not (k > 0 and gaps[k - 1]) and not (k < len(gaps) and gaps[k])]
+                want = (sorted(pts, key=Direction.angle_key), any(gaps))
+                assert S.semicircle(d, closed) == want, (d, closed)
 
 
 class TestDifficulty:
@@ -338,13 +380,32 @@ class TestClassification:
                 assert c.alpha == base.alpha
                 assert c.balanced == base.balanced
 
-    def test_stable_set_rotates_with_family(self):
-        rot = (0, -1, 1, 0)  # 90 degrees ccw
-        S0 = stable_set(DUARTE)
-        S1 = stable_set(DUARTE.transformed(rot))
-        for d in sample_directions(90):
-            rd = Direction.of(-d.b, d.a)
-            assert S0.contains(d) == S1.contains(rd)
+    @given(SMALL_FAMILIES, UNIMODULAR)
+    @example(DUARTE, (0, -1, 1, 0))  # 90 degrees ccw
+    @settings(max_examples=60, deadline=None)
+    def test_stable_set_rotates_with_family(self, U, m):
+        # <v, Mx> = <M^T v, x>, so u is stable for U iff M^-T u is stable
+        # for MU; a map of determinant -1 reverses the ccw order
+        a, b, c, d = m
+        det = a * d - b * c
+
+        def carry(u):
+            return Direction.of(det * (d * u.a - c * u.b), det * (a * u.b - b * u.a))
+
+        S0 = stable_set(U)
+        S1 = stable_set(U.transformed(m))
+        for u in sample_directions(90):
+            assert S0.contains(u) == S1.contains(carry(u))
+        assert {carry(u) for u in S0.isolated_points()} == set(S1.isolated_points())
+        assert {carry(u) for u in S0.endpoint_directions()} == set(S1.endpoint_directions())
+        arcs = {(carry(s), carry(e)) if det == 1 else (carry(e), carry(s)) for s, e in S0.arcs()}
+        assert arcs == set(S1.arcs())
+        if det == 1:
+            for u in family._sweep_candidates(S0):
+                for closed in (False, True):
+                    pts, has_arc = S0.semicircle(u, closed)
+                    assert S1.semicircle(carry(u), closed) == (
+                        sort_directions(carry(p) for p in pts), has_arc)
 
 
 class TestQuasiStable:
@@ -365,13 +426,10 @@ class TestQuasiStable:
             order = sort_directions(dirs)
             for i, u in enumerate(order):
                 v = order[(i + 1) % len(order)]
-                gap = None
-                # skip pairs whose open gap meets S (not consecutive in S u Q)
-                from ubootstrap.geometry import Arc, arc_intersect
-                if u != v:
-                    inter = arc_intersect(list(S.arcs), [Arc(u, v, False, False)])
-                    if inter:
-                        continue
+                # skip pairs whose open gap meets S (not consecutive in S u Q);
+                # the gap lies inside one gap of S's cuts, so one sample decides
+                if S.contains(direction_between(u, v)):
+                    continue
                 ok = any(
                     all(u.dot(x) <= 0 and v.dot(x) <= 0 for x in rule)
                     for rule in U.rules
@@ -451,32 +509,35 @@ class TestAlphaStarRhoKappa:
 
 class TestIcebergU0:
     def test_duarte(self):
-        c = classify(DUARTE)
-        S = stable_set(DUARTE)
-        ustar = E2 if c.u_star == E2 else c.u_star
-        u0 = iceberg_u0(DUARTE, E2, S)
-        # strictly between u* and the nearest forbidden perpendicular (-1,1)
-        assert cross(E2, u0) > 0
-        assert ccw_key(E2, u0) < ccw_key(E2, Direction(-1, 1))
-        assert S.contains(u0)
+        # at u* = (0, 1) only the plus side resolves for Duarte and only the
+        # minus side for its mirror image; u0 is mirrored with the family
+        u0 = iceberg_u0(DUARTE, E2, stable_set(DUARTE))
+        assert iceberg_u0(DUARTE_MIRROR, E2, stable_set(DUARTE_MIRROR)) == Direction(-u0.a, u0.b)
+        for U, v, spin in ((DUARTE, u0, 1), (DUARTE_MIRROR, Direction(-u0.a, u0.b), -1)):
+            # strictly between u* and the nearest forbidden perpendicular
+            # (-1, 1), or (1, 1) in the mirror
+            assert cross(E2, v) * spin > 0
+            assert min(ccw_key(E2, v), ccw_key(v, E2)) < ccw_key(E2, Direction(-1, 1))
+            assert stable_set(U).contains(v)
 
     def test_closedness_on_window(self):
         # triangles with faces u0, u*, u are closed next to the half-plane
         from ubootstrap.lattice import Box, HalfPlane, Window, closure
         from ubootstrap.geometry import line_index
-        u0 = iceberg_u0(DUARTE, E2, stable_set(DUARTE))
-        u = Direction.of(u0.a, u0.b + 8)  # between u0 and u*
-        tri = set()
-        for x in range(-80, 81):
-            for y in range(-20, 21):
-                if line_index((x, y), u) >= 0 and line_index((x, y), u0) < 18 \
-                        and line_index((x, y), E2) < 6:
-                    tri.add((x, y))
-        # the construction must be looked at in full: no vertex beyond the box
-        assert all(-70 < x < 70 and -15 < y < 15 for x, y in tri)
-        w = Window(Box(-90, -90, 91, 91), HalfPlane(u, 0))
-        got = closure(tri, w, DUARTE)
-        assert got == tri
+        for U in (DUARTE, DUARTE_MIRROR):
+            u0 = iceberg_u0(U, E2, stable_set(U))
+            u = Direction.of(u0.a, u0.b + 8)  # between u0 and u*
+            tri = set()
+            for x in range(-80, 81):
+                for y in range(-20, 21):
+                    if line_index((x, y), u) >= 0 and line_index((x, y), u0) < 18 \
+                            and line_index((x, y), E2) < 6:
+                        tri.add((x, y))
+            # the construction must be looked at in full: no vertex beyond the box
+            assert all(-70 < x < 70 and -15 < y < 15 for x, y in tri)
+            w = Window(Box(-90, -90, 91, 91), HalfPlane(u, 0))
+            got = closure(tri, w, U)
+            assert got == tri, U.name
 
     def test_no_drift_family(self):
         with pytest.raises(NoDriftDirectionError):

@@ -2,21 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ubootstrap.family import StableSet
 from ubootstrap.geometry import (
-    Arc,
     Direction,
-    _assemble,
-    _rebuild,
-    arc_contains,
-    arc_intersect,
     ccw_key,
     cross,
     direction_between,
     line_index,
-    open_semicircle,
+    open_arc_overlap,
     sort_directions,
+    strictly_between,
 )
 
 E1 = Direction(1, 0)
@@ -39,15 +36,9 @@ dir_st = st.sampled_from(ALL_DIRS)
 site_st = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
 
-def arcs_st():
-    single = st.one_of(
-        st.builds(Arc.point, dir_st),
-        st.builds(
-            lambda s, e, cs, ce: Arc(s, e, cs, ce) if s != e else Arc.point(s),
-            dir_st, dir_st, st.booleans(), st.booleans(),
-        ),
-    )
-    return st.lists(single, max_size=3)
+# an open ccw arc (start, end); (p, p) is the circle minus p
+open_arc_st = st.tuples(dir_st, dir_st)
+AXES = (E1, E2, W, S)
 
 
 class TestDirection:
@@ -105,82 +96,89 @@ class TestHalfPlanePrimitives:
 
 
 class TestArcs:
+    # open ccw arcs of directions, and stable sets on the arrangement of the
+    # axes: point i says whether AXES[i] is in, gap i whether the open
+    # quadrant from AXES[i] to AXES[i + 1] is
+
     def test_point_and_full(self):
-        p = Arc.point(E1)
-        assert p.contains(E1) and not p.contains(E2)
-        f = Arc.full_circle()
+        p = StableSet(AXES, (True, False, False, False), (False,) * 4)
+        assert p.contains(E1) and not p.contains(E2) and not p.contains(Direction(1, 1))
+        assert p.isolated_points() == [E1] and p.arcs() == []
+        f = StableSet(AXES, (True,) * 4, (True,) * 4)
         assert all(f.contains(d) for d in ALL_DIRS)
 
     def test_punctured_circle(self):
-        a = Arc(E1, E1, False, False)
-        assert not a.contains(E1)
-        assert a.contains(E2) and a.contains(W)
+        assert not strictly_between(E1, E1, E1)
+        assert strictly_between(E1, E1, E2) and strictly_between(E1, E1, W)
 
     def test_contains_quadrant(self):
-        a = Arc(E1, E2)  # closed first quadrant
+        a = StableSet(AXES, (True, True, False, False), (True, False, False, False))
         assert a.contains(E1) and a.contains(E2)
         assert a.contains(Direction(1, 1))
         assert not a.contains(Direction(1, -1))
         assert not a.contains(W)
+        assert a.arcs() == [(E1, E2)] and a.endpoint_directions() == [E1, E2]
+        # the open quadrant
+        assert strictly_between(E1, E2, Direction(1, 1))
+        assert not any(strictly_between(E1, E2, d) for d in (E1, E2, Direction(1, -1), W))
 
     def test_intersect_abutting_closed_arcs_is_point(self):
-        a = [Arc(E1, E2)]
-        b = [Arc(E2, W)]
-        assert arc_intersect(a, b) == [Arc.point(E2)]
-
-    # _assemble from cuts plus point and gap memberships: gap i is the open
-    # arc from cuts[i] to cuts[i + 1], and the last one wraps round
+        # the closed first quadrant meets the closed semicircle from E2 to
+        # S in E2 alone
+        a = StableSet(AXES, (True, True, False, False), (True, False, False, False))
+        assert a.semicircle(E2, closed=True) == ([E2], False)
+        assert a.semicircle(E2, closed=False) == ([], False)
+        assert a.semicircle(S, closed=False) == ([], True)
 
     def test_complement_of_full_is_empty(self):
-        cuts = [E1, E2, W, S]
-        assert _assemble(cuts, [False] * 4, [False] * 4) == []
-        assert _assemble(cuts, [True] * 4, [True] * 4) == [Arc.full_circle()]
+        empty = StableSet(AXES, (False,) * 4, (False,) * 4)
+        assert empty.is_empty() and not any(empty.contains(d) for d in ALL_DIRS)
+        full = StableSet(AXES, (True,) * 4, (True,) * 4)
+        assert not full.is_empty()
+        # the full circle has no ends
+        assert full.arcs() == [] and full.endpoint_directions() == []
+        assert full.semicircle(E1, closed=False) == ([], True)
 
     def test_union_of_abutting_closed_arcs_merges(self):
         # [E1, E2] and [E2, W] in, the open lower half out
-        got = _assemble([E1, E2, W], [True, True, True], [True, True, False])
-        assert got == [Arc(E1, W)]
+        got = StableSet(AXES, (True, True, True, False), (True, True, False, False))
+        assert got.arcs() == [(E1, W)]
+        assert got.endpoint_directions() == [E1, W] and got.isolated_points() == []
 
     def test_union_of_open_abutting_leaves_hole(self):
-        # [E1, E2) and (E2, W] in: E2 itself is out
-        got = _assemble([E1, E2, W], [True, False, True], [True, True, False])
-        assert got == [Arc(E1, E2, True, False), Arc(E2, W, False, True)]
-        assert not arc_contains(got, E2)
+        # the open upper half without E2: (E1, E2) and (E2, W)
+        got = open_arc_overlap((E1, W), (E2, E2))
+        assert got == [(E1, E2), (E2, W)]
+        assert not any(strictly_between(*piece, E2) for piece in got)
 
     def test_complement_of_point(self):
-        # one out-point gives the punctured circle, with or without more cuts
-        assert _assemble([E2], [False], [True]) == [Arc(E2, E2, False, False)]
-        got = _assemble([E1, E2, W, S], [True, False, True, True], [True] * 4)
-        assert got == [Arc(E2, E2, False, False)]
+        # one out-point gives the punctured circle, a second one two pieces
+        assert open_arc_overlap((E2, E2), (E2, E2)) == [(E2, E2)]
+        assert open_arc_overlap((E2, E2), (S, S)) == [(E2, S), (S, E2)]
 
     def test_isolated_in_point(self):
-        assert _assemble([E2], [True], [False]) == [Arc.point(E2)]
-        got = _assemble([E1, E2, W, S], [False, True, False, False], [False] * 4)
-        assert got == [Arc.point(E2)]
+        got = StableSet(AXES, (False, True, False, False), (False,) * 4)
+        assert got.isolated_points() == got.endpoint_directions() == [E2]
+        assert got.arcs() == []
+        assert got.semicircle(E1, closed=False) == ([E2], False)
 
-    def test_normalize_overlapping(self):
-        messy = [Arc(E1, W), Arc(E2, S)]  # overlap on second quadrant
-        assert _rebuild([messy], lambda m: m[0]) == [Arc(E1, S)]
-
-    @given(arcs_st(), arcs_st())
+    @given(open_arc_st, open_arc_st)
+    @example((E2, E2), (E2, E2))
+    @example((E2, E2), (E1, W))
+    # two pieces, the second running through angle 0
+    @example((E2, Direction(1, 1)), (Direction(1, -1), W))
     @settings(max_examples=150)
     def test_pointwise_semantics(self, a, b):
-        i = arc_intersect(a, b)
-        for d in ALL_DIRS[::7]:
-            assert arc_contains(i, d) == (arc_contains(a, d) and arc_contains(b, d))
-
-    @given(arcs_st())
-    @settings(max_examples=100)
-    def test_normalize_idempotent(self, a):
-        # the assembled form is normal: assembling its own memberships
-        # gives it back
-        n1 = _rebuild([a], lambda m: m[0])
-        assert _rebuild([n1], lambda m: m[0]) == n1
-        for d in ALL_DIRS[::7]:
-            assert arc_contains(n1, d) == arc_contains(a, d)
+        got = open_arc_overlap(a, b)
+        assert got == sorted(got, key=lambda piece: piece[0].angle_key())
+        for d in ALL_DIRS:
+            inside = sum(strictly_between(*piece, d) for piece in got)
+            assert inside == (strictly_between(*a, d) and strictly_between(*b, d))
 
     def test_open_semicircle(self):
-        sc = open_semicircle(E1)
-        assert sc.contains(E2)
-        assert not sc.contains(E1) and not sc.contains(W)
-        assert not sc.contains(S)
+        assert strictly_between(E1, W, E2)
+        assert not strictly_between(E1, W, E1) and not strictly_between(E1, W, W)
+        assert not strictly_between(E1, W, S)
+        axes = StableSet(AXES, (True,) * 4, (False,) * 4)
+        assert axes.semicircle(E1, closed=False) == ([E2], False)
+        assert axes.semicircle(E1, closed=True) == ([E1, E2, W], False)

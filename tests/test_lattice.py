@@ -296,7 +296,7 @@ class TestStripMachine:
         Z = [z for z in data.draw(st.lists(st.sampled_from(OFFSETS), max_size=3)) if u.dot(z) >= 0]
         assume(all(any(u.dot(x) >= 0 for x in rule) for rule in fam.rules))
         top = max((u.dot(z) for z in Z), default=-1)
-        grown = closure(Z, Window(Box.radius(10), HalfPlane(u, 0)), fam)
+        grown = closure(Z, Window(Box(-10, -10, 11, 11), HalfPlane(u, 0)), fam)
         assert all(0 <= u.dot(s) <= top for s in grown)
         assert all(0 <= u.dot(s) <= top for s in strip_scan(u, Z, fam).infected)
 
