@@ -26,7 +26,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .geometry import Direction, Site, ccw_key, cross, line_index, sort_directions
-from .lattice import Box, Window, closure
+from .lattice import Box, closure
 
 
 class UnboundedDropletError(ValueError):
@@ -177,9 +177,6 @@ def minimal_droplet(K: Iterable[Site], T: Sequence[Direction]) -> Droplet:
     if not K:
         raise ValueError("minimal droplet of an empty set")
     dirs = tuple(sort_directions(T))
-    if not _directions_bound_plane(dirs):
-        raise UnboundedDropletError(
-            "direction set misses an open semicircle; droplets are unbounded")
     offsets = tuple(1 + max(line_index(s, u) for s in K) for u in dirs)
     return Droplet(dirs, offsets)
 
@@ -491,12 +488,12 @@ class SpanResult:
     histories: list[list[frozenset]]  # per component: seed-set snapshots
 
 
-def _span_window(K, dirs, kappa) -> Window:
+def _span_window(K, dirs, kappa) -> Box:
     hull = minimal_droplet(K, dirs)
     pad = int(math.ceil(kappa + 4))
     xs = [s[0] for s in hull.sites()]
     ys = [s[1] for s in hull.sites()]
-    return Window(Box(min(xs) - pad, min(ys) - pad, max(xs) + pad + 1, max(ys) + pad + 1))
+    return Box(min(xs) - pad, min(ys) - pad, max(xs) + pad + 1, max(ys) + pad + 1)
 
 
 class _SpanPart(NamedTuple):
@@ -517,7 +514,7 @@ def spanning_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
     if not K:
         return SpanResult([], [], [], [])
     dirs = tuple(sort_directions(directions))
-    w = _span_window(K, dirs, kappa)
+    box = _span_window(K, dirs, kappa)
     disc = OGrid.from_sites(disc_offsets(kappa))
 
     def part(seeds: frozenset, closed: set) -> _SpanPart:
@@ -528,10 +525,10 @@ def spanning_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
         return True if _first_site(a.dil.intersect(b.grid)) is not None else None
 
     def merge(a: _SpanPart, b: _SpanPart):
-        new = part(a.seeds | b.seeds, closure(a.closed | b.closed, w, U))
+        new = part(a.seeds | b.seeds, closure(a.closed | b.closed, box, U))
         return new, minimal_droplet(new.closed, dirs)
 
-    singletons = [part(frozenset({s}), closure({s}, w, U)) for s in K]
+    singletons = [part(frozenset({s}), closure({s}, box, U)) for s in K]
     parts, log, histories = _merge_loop(singletons, [(joined, merge, True)],
                                         record=lambda p: p.seeds)
     droplets = [minimal_droplet(p.closed, dirs) for p in parts]
@@ -546,8 +543,8 @@ def span_components(K: Iterable[Site], U, directions: Sequence[Direction],
     if not K:
         return []
     dirs = tuple(sort_directions(directions))
-    w = _span_window(K, dirs, kappa)
-    closed = closure(set(K), w, U)
+    box = _span_window(K, dirs, kappa)
+    closed = closure(set(K), box, U)
     return [minimal_droplet(c, dirs) for c in strongly_connected_components(closed, kappa)]
 
 
@@ -563,8 +560,7 @@ def is_internally_spanned(D: Droplet, A: Iterable[Site], U, kappa: float) -> boo
         return False
     xs = [s[0] for s in D.sites()]
     ys = [s[1] for s in D.sites()]
-    w = Window(Box(min(xs), min(ys), max(xs) + 1, max(ys) + 1))
-    closed = closure(seeds, w, U)
+    closed = closure(seeds, Box(min(xs), min(ys), max(xs) + 1, max(ys) + 1), U)
     for comp in strongly_connected_components(closed, kappa):
         if minimal_droplet(comp, D.directions) == D:
             return True

@@ -1,8 +1,8 @@
 """Bundled rule corpus and the JSON rule-file format.
 
 A rule file is {"name": str, "rules": [[[x, y], ...], ...]} with integer
-coordinates, plus optional free-form metadata (the corpus records the
-expected classification for regression).  The corpus lives in
+coordinates, plus an optional free-form "metadata" object (the corpus
+records the expected classification for regression).  The corpus lives in
 ``BUILTIN_RULES`` and ``BUILTIN_METADATA``; rule files come from outside the
 program and are validated by the parser.
 """
@@ -61,6 +61,11 @@ def parse_rule_data(data) -> tuple[UpdateFamily, dict]:
     if not isinstance(data, dict):
         raise RuleFileError("rule file must be a JSON object")
     name = data.get("name", "")
+    if not isinstance(name, str):
+        raise RuleFileError("'name' must be a string")
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise RuleFileError("'metadata' must be an object")
     rules = data.get("rules")
     if not isinstance(rules, list) or not rules:
         raise RuleFileError("rule file needs a non-empty 'rules' list")
@@ -71,7 +76,8 @@ def parse_rule_data(data) -> tuple[UpdateFamily, dict]:
         sites = []
         for j, site in enumerate(rule):
             if (not isinstance(site, list) or len(site) != 2
-                    or not all(isinstance(c, int) for c in site)):
+                    # JSON true/false parse to bool, a subclass of int
+                    or not all(type(c) is int for c in site)):
                 raise RuleFileError(f"rule {i} site {j} is not an integer pair")
             sites.append((site[0], site[1]))
         parsed.append(sites)
@@ -79,7 +85,7 @@ def parse_rule_data(data) -> tuple[UpdateFamily, dict]:
         fam = UpdateFamily.of(parsed, name=name)
     except ValueError as e:
         raise RuleFileError(str(e)) from e
-    return fam, data.get("metadata", {})
+    return fam, metadata
 
 
 def parse_rule_file(path) -> tuple[UpdateFamily, dict]:

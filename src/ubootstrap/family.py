@@ -17,7 +17,6 @@ in this module silently equates that verdict with a proof of infinity.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,16 +36,7 @@ from .geometry import (
     sort_directions,
     strictly_between,
 )
-from .lattice import (
-    Box,
-    HalfPlane,
-    StripVerdict,
-    Window,
-    _compile_family,
-    closure,
-    is_stable,
-    strip_scan,
-)
+from .lattice import StripVerdict, _compile_family, is_stable, strip_scan
 
 
 class EmptyFamilyError(ValueError):
@@ -62,7 +52,8 @@ class DifficultyWindowExhaustedError(RuntimeError):
 
 
 class StripHeightExceededError(RuntimeError):
-    pass
+    """H_u plus a helper set marches along the strip: its closure is
+    infinite, so it displaces no infection by a bounded distance."""
 
 
 class NotCriticalError(ValueError):
@@ -660,51 +651,30 @@ class RhoBound:
     witness_site: Optional[Site] = None
 
 
-def _halfplane_additions(U: UpdateFamily, u: Direction, Z: frozenset) -> set[Site]:
-    """Closure additions of H_u plus Z above the half-plane, computed on an
-    escalating box; raises if the growth refuses to stabilize."""
-    reach = math.ceil(nu(U))
-    if Z:
-        xs = [z[0] for z in Z]
-        ys = [z[1] for z in Z]
-        bx0, bx1 = min(xs), max(xs)
-        by0, by1 = min(ys), max(ys)
-    else:
-        bx0 = bx1 = by0 = by1 = 0
-    pad = 2 * reach + 2
-    for _ in range(8):
-        box = Box(bx0 - pad, by0 - pad, bx1 + pad + 1, by1 + pad + 1)
-        w = Window(box, HalfPlane(u, 0))
-        out = closure(Z, w, U)
-        touches = any(
-            s[0] - box.x0 < reach or box.x1 - 1 - s[0] < reach
-            or s[1] - box.y0 < reach or box.y1 - 1 - s[1] < reach
-            for s in out
-        )
-        if not touches:
-            return out
-        pad *= 2
-    raise StripHeightExceededError(
-        f"closure of H_{u} plus {set(Z)} does not stabilize (a side of {u} easier than alpha?)")
-
-
 def rho_bound(U: UpdateFamily, directions: Sequence[Direction], alpha: int,
               window: int = 4) -> RhoBound:
     """Maximal Euclidean displacement of a new infection from a helper set
     of size alpha-1 next to a stable half-plane, over the given directions
-    and all translation-reduced helper sets in the radius-``window`` box."""
+    and all translation-reduced helper sets in the radius-``window`` box.
+
+    The closure of H_u plus Z is read off ``strip_scan``.  Raises
+    StripHeightExceededError when H_u plus some Z marches along the strip
+    (a period on either side, whether or not it occupies the boundary line;
+    an unstable u marches with the empty set)."""
     best = RhoBound(0.0)
     k = alpha - 1
     for u in directions:
         # the empty helper set has no minimal line position to reduce by
         candidates = [frozenset()] if k == 0 else _canonical_witnesses(u, window, k)
         for Z in candidates:
-            out = _halfplane_additions(U, u, Z)
-            for site in out:
-                if Z:
-                    d = min(euclid(site, z) for z in Z)
-                else:
-                    d = math.inf if out else 0.0
+            scan = strip_scan(u, Z, U)
+            if scan.period_plus is not None or scan.period_minus is not None:
+                raise StripHeightExceededError(
+                    f"H_{u} plus {set(Z)} marches along the strip "
+                    f"(a side of {u} easier than alpha?)")
+            # an empty Z next to a stable half-plane adds nothing
+            for site in scan.infected:
+                d = min(euclid(site, z) for z in Z)
                 if d > best.value:
                     best = RhoBound(d, u, Z, site)
     return best

@@ -1,4 +1,4 @@
-"""Closure engines for bootstrap dynamics on finite windows, tori and
+"""Closure engines for bootstrap dynamics on finite boxes, tori and
 half-plane-assisted strips.
 
 Every engine reads a family in one compiled form (``_compile_family``): its
@@ -7,15 +7,17 @@ memo from masks over N (which offsets of a site are infected) to whether
 some rule fires, filled lazily from the rules' own masks.
 ``is_stable`` is one memo read; the frontier kernel ``_grow`` pays |N|
 lookups and one memo read per candidate site, however many rules the family
-has.  ``closure`` runs the kernel in a box (optionally next to an infected
-half-plane), and ``strip_scan`` runs it in the strip next to H_u, column
-window by column window, with ``_column_width`` read off N.  Synchronous numpy sweeps run the torus and blocked-window dynamics
-of the Monte Carlo harness: one shifted plane per offset of N, ANDed per
-rule.  ``closure_rescan`` stays a naive full-rescan fixed point over the
-rules one by one, kept as the independent oracle for the kernel and the
-sweeps.  Closure is update-order independent by monotonicity, so the kernel
-and the sweeps must agree exactly; infection times are defined by the
-synchronous sweep.
+has.  ``closure`` runs the kernel in a box with a blocked boundary, and
+``strip_scan``, the only engine next to an infected half-plane, runs it in
+the strip next to H_u, column window by column window, with
+``_column_width`` read off N.  Synchronous numpy sweeps run the torus and
+blocked-box dynamics of the Monte Carlo harness: one shifted plane per
+offset of N, ANDed per rule.  ``closure_rescan`` stays a naive full-rescan
+fixed point over the rules one by one, in a box or on a torus and
+optionally next to a half-plane, kept as the independent oracle for the
+kernel, the strip and the sweeps.  Closure is update-order independent by
+monotonicity, so the kernel and the sweeps must agree exactly; infection
+times are defined by the synchronous sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .geometry import Direction, Site, line_index
 
 # ---------------------------------------------------------------------------
-# windows
+# shapes
 
 
 @dataclass(frozen=True)
@@ -61,17 +63,11 @@ class Torus:
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """Boundary condition: every site with line_index < offset is permanently
-    infected (and never materialized in outputs)."""
+    """Boundary condition of the rescan oracle: every site with line_index <
+    offset is permanently infected (and never materialized in outputs)."""
 
     u: Direction
     offset: int = 0
-
-
-@dataclass(frozen=True)
-class Window:
-    shape: object  # Box | Torus
-    boundary: Optional[HalfPlane] = None  # None means Blocked
 
 
 class _Timeout:
@@ -143,10 +139,10 @@ def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int]
     """Grow ``inf`` in place to its closure under U; return the added sites
     in order.
 
-    ``half = (a, b, off)``: sites with a*x + b*y < off count as infected and
-    are never added ((0, 0, 0) means no half-plane).  ``bands`` holds two
-    bounds (a_i, b_i, lo_i, hi_i): only sites with lo_i <= a_i*x + b_i*y < hi_i
-    are added.
+    ``half = (a, b, off)``: sites with a*x + b*y < off count as infected
+    ((0, 0, 0) means no half-plane).  ``bands`` holds two bounds
+    (a_i, b_i, lo_i, hi_i): only sites with lo_i <= a_i*x + b_i*y < hi_i are
+    added, and the bands must keep every added site out of the half-plane.
 
     ``sources`` are the sites whose neighbourhoods need examining: every site
     of ``inf`` that may support a new one.  Each site c = s - x, for x in the
@@ -166,9 +162,6 @@ def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int]
             c = (sx - dx, sy - dy)
             if c in inf:
                 continue
-            ch = sh - dh
-            if ch < off:
-                continue
             c0 = s0 - d0
             if c0 < lo0 or c0 >= hi0:
                 continue
@@ -176,7 +169,7 @@ def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int]
             if c1 < lo1 or c1 >= hi1:
                 continue
             cx, cy = c
-            below = off - ch  # an offset e is in the half-plane iff e's projection < below
+            below = off - sh + dh  # an offset e is in the half-plane iff e's projection < below
             for bit, ex, ey, eh in others:
                 if eh < below or (cx + ex, cy + ey) in inf:
                     mask |= bit
@@ -186,39 +179,21 @@ def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int]
     return frontier[start:]
 
 
-def closure(A: Iterable[Site], w: Window, U) -> set[Site]:
-    """Least fixed point of the bootstrap dynamics inside the box window ``w``.
-
-    Half-plane boundary sites count as infected for rule evaluation but never
-    appear in the output.  Torus closures run on the synchronous sweeps
-    (``torus_closure_grid``).
-    """
-    box = w.shape
-    if not isinstance(box, Box):
-        raise ValueError("closure needs a Box window; use torus_closure_grid on a torus")
-    hood = _compile_family(U).hood
-    hp = w.boundary
-    half = (hp.u.a, hp.u.b, hp.offset) if hp is not None else (0, 0, 0)
-    a, b, off = half
-    inf = {s for s in A if box.contains(s) and a * s[0] + b * s[1] >= off}
-    sources = list(inf)
-    if hp is not None and hood:
-        # the half-plane's sites within reach of the box can support a site
-        # above it: they enter as sources like any infected site
-        depth = max(abs(a * dx + b * dy) for dx, dy in hood)
-        r = max(max(abs(dx), abs(dy)) for dx, dy in hood)
-        sources += [(x, y) for x in range(box.x0 - r, box.x1 + r)
-                    for y in range(box.y0 - r, box.y1 + r)
-                    if off - depth <= a * x + b * y < off]
-    _grow(inf, sources, U, half, ((1, 0, box.x0, box.x1), (0, 1, box.y0, box.y1)))
+def closure(A: Iterable[Site], box: Box, U) -> set[Site]:
+    """Least fixed point of the bootstrap dynamics inside ``box``, blocked
+    boundary.  Torus closures run on the synchronous sweeps
+    (``torus_closure_grid``); next to a half-plane, ``strip_scan``."""
+    inf = {s for s in A if box.contains(s)}
+    _grow(inf, list(inf), U, (0, 0, 0), ((1, 0, box.x0, box.x1), (0, 1, box.y0, box.y1)))
     return inf
 
 
-def closure_rescan(A: Iterable[Site], w: Window, U) -> set[Site]:
-    """Naive fixed-point iteration: rescan every window site each pass.
-    Independent oracle for the frontier kernel and the sweeps; only for small
-    windows."""
-    shape = w.shape
+def closure_rescan(A: Iterable[Site], shape: Box | Torus, U,
+                   hp: Optional[HalfPlane] = None) -> set[Site]:
+    """Naive fixed-point iteration in a Box or on a Torus, optionally next to
+    the half-plane ``hp``: rescan every site each pass.  Independent oracle
+    for the frontier kernel, the strip and the sweeps; only for small
+    shapes."""
     if isinstance(shape, Torus):
         n = shape.n
         sites = [(x, y) for x in range(n) for y in range(n)]
@@ -229,7 +204,6 @@ def closure_rescan(A: Iterable[Site], w: Window, U) -> set[Site]:
         wrap = lambda s: s
         occupied_raw = lambda s, inf: s in inf
 
-    hp = w.boundary
     if hp is not None:
         in_half = lambda s: line_index(s, hp.u) < hp.offset
     else:
@@ -307,15 +281,11 @@ def percolates_grid(grid: np.ndarray, U) -> bool:
     return bool(torus_closure_grid(grid, U).all())
 
 
-def infection_time(A: Iterable[Site], U, t_max: int, w: Window):
+def infection_time(A: Iterable[Site], U, t_max: int, box: Box):
     """Smallest t <= t_max with the origin in A_t under synchronous updates
-    in the box window ``w`` (blocked boundary), else TIMEOUT.  Exact on Z^2
-    whenever the window radius dominates the light cone of the origin
-    (caller's responsibility, see the harness)."""
-    box = w.shape
-    if not isinstance(box, Box) or w.boundary is not None:
-        # a half-plane boundary would be ignored by the blocked sweep
-        raise ValueError("infection_time needs a Box window without a half-plane")
+    in ``box`` (blocked boundary), else TIMEOUT.  Exact on Z^2 whenever the
+    box radius dominates the light cone of the origin (caller's
+    responsibility, see the harness)."""
     if not box.contains((0, 0)):
         raise OriginOutsideWindowError("origin not inside the window")
     grid = np.zeros((box.y1 - box.y0, box.x1 - box.x0), dtype=bool)

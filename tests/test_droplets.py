@@ -4,7 +4,7 @@ import pytest
 from ubootstrap.families import builtin
 from ubootstrap.family import classify, kappa as kappa_of, nu, rho_bound, stable_set, iceberg_u0
 from ubootstrap.geometry import Direction, line_index
-from ubootstrap.lattice import Box, HalfPlane, Window, closure
+from ubootstrap.lattice import Box, closure, strip_scan
 from ubootstrap import droplets
 from ubootstrap.droplets import (
     Droplet,
@@ -126,7 +126,7 @@ class TestCovering:
             K = {(int(x), int(y)) for x, y in rng.integers(0, 30, size=(18, 2))}
             res = covering_algorithm(K, U2, self.dirs, 1, self.kappa)
             assert not res.dust
-            w = Window(Box(-80, -80, 120, 120))
+            w = Box(-80, -80, 120, 120)
             closed = closure(K, w, U2)
             assert all(any(d.contains(s) for d in res.droplets) for s in closed)
 
@@ -222,7 +222,7 @@ class TestSpanning:
                     break
             assert best is not None
             a, b = best
-            w = Window(Box(-30, -30, 50, 50))
+            w = Box(-30, -30, 50, 50)
             ca, cb = closure(a, w, DUARTE), closure(b, w, DUARTE)
             assert is_strongly_connected(ca, self.kappa)
             assert is_strongly_connected(cb, self.kappa)
@@ -246,7 +246,7 @@ class TestSpanning:
                         assert any(k <= pv <= 3 * k for pv in intermediates), (k, sorted(intermediates))
 
     def _history_closures(self, res, i):
-        w = Window(Box(-30, -30, 80, 80))
+        w = Box(-30, -30, 80, 80)
         out = []
         for seeds in res.histories[i]:
             out.append(closure(seeds, w, DUARTE))
@@ -336,13 +336,9 @@ class TestIceberg:
         sites = set()
         for p in res.pieces:
             sites |= p.sites()
-        xs = [s[0] for s in sites]
-        ys = [s[1] for s in sites]
-        pad = 10
-        w = Window(Box(min(xs) - pad, min(ys) - pad, max(xs) + pad + 1, max(ys) + pad + 1),
-                   HalfPlane(u, 0))
-        got = closure(sites, w, DUARTE)
-        assert got == sites
+        scan = strip_scan(u, sites, DUARTE)
+        assert scan.period_plus is None and scan.period_minus is None
+        assert scan.infected == sites
 
     def test_terminal_no_step_applies(self):
         _, u, u0, u_star, kap = duarte_drift_context()

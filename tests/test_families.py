@@ -30,6 +30,9 @@ def test_corpus_round_trips_through_rule_files(tmp_path):
     '{"name": "x", "rules": []}',
     '{"name": "x", "rules": [[[0, 1.5]]]}',
     '{"name": "x", "rules": [[[0, 0]]]}',
+    '{"name": "x", "rules": [[[true, false]]]}',
+    '{"name": ["x"], "rules": [[[1, 0]]]}',
+    '{"name": "x", "rules": [[[1, 0]]], "metadata": [1]}',
 ])
 def test_malformed_rule_file_raises(tmp_path, text):
     path = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ubootstrap import family
-from ubootstrap.families import builtin
+from ubootstrap.families import FAMILY_IDS, builtin
 from ubootstrap.family import (
     INFINITE_WITHIN_WINDOW,
     Classification,
@@ -15,6 +15,7 @@ from ubootstrap.family import (
     NoDriftDirectionError,
     NotCriticalError,
     SearchBudgetExceededError,
+    StripHeightExceededError,
     UpdateFamily,
     classify,
     difficulty,
@@ -28,7 +29,7 @@ from ubootstrap.family import (
     stable_set,
 )
 from ubootstrap.geometry import Direction, ccw_key, cross, direction_between, sort_directions
-from ubootstrap.lattice import Box, HalfPlane, StripVerdict, Window, closure_rescan, strip_scan
+from ubootstrap.lattice import Box, HalfPlane, StripVerdict, closure_rescan, strip_scan
 
 U2 = builtin("two-neighbour")
 DUARTE = builtin("duarte")
@@ -444,28 +445,47 @@ class TestVoracity:
         assert voracious([(0, 0)], E2, DUARTE)
 
     def test_bounded_multiplicity(self):
-        # a few translates of the witness fill a long stretch of the line;
-        # from two translates on, so the segment is more than the witness,
-        # and checked by the rescan oracle, not the strip scan that found it
-        for name, u in [("two-neighbour", E1), ("duarte", E2), ("van-enter-hulshof", E2)]:
+        # a few translates of a witness fill a long stretch of the line in
+        # the witness's marching direction, up to one spacing past the last
+        # translate (between translates, growth marching either way would
+        # do); checked by the rescan oracle, not the strip scan that found
+        # it.  Every witness classify records, plus van Enter-Hulshof's
+        # two-site one at (0, 1), which its cardinality-1 search leaves
+        # unresolved
+        cases = []
+        for name in FAMILY_IDS:
             U = builtin(name)
-            Z = difficulty_side(u, "plus", U, window=5, max_cardinality=2).witness
-            t = (u.b, -u.a)
-            found = False
-            for reps in range(2, 9):
-                for spacing in (8, 12, 16):
-                    sites = {(z[0] + k * spacing * t[0], z[1] + k * spacing * t[1])
-                             for z in Z for k in range(reps)}
-                    span = spacing * (reps - 1) + 24
-                    w = Window(Box(-span, -span, span + 1, span + 1), HalfPlane(u, 0))
-                    got = closure_rescan(sites, w, U)
-                    seg = [(i * t[0], i * t[1]) for i in range(0, spacing * (reps - 1) + 1)]
-                    if all(s in got for s in seg):
-                        found = True
-                        break
-                if found:
-                    break
-            assert found, name
+            for u, res in classify(U).difficulties.items():
+                cases += [(U, u, side, r.witness)
+                          for side, r in (("plus", res.plus), ("minus", res.minus)) if r.resolved]
+        veh = difficulty_side(E2, "plus", VEH, window=5, max_cardinality=2)
+        cases.append((VEH, E2, "plus", veh.witness))
+        assert len(cases) == 37
+
+        def fills(U, u, side, Z, reps, spacing):
+            a, b = u.a, u.b
+            n2 = a * a + b * b
+            sign = 1 if side == "plus" else -1
+            t = (sign * b, -sign * a)
+            sites = {(z[0] + k * spacing * t[0], z[1] + k * spacing * t[1])
+                     for z in Z for k in range(reps)}
+            length = spacing * reps
+            # no site of the closure rises above the highest line of Z; along
+            # the line, the translates and the segment widened by a margin
+            top = max(a * x + b * y for x, y in Z)
+            pos = [b * x - a * y for x, y in Z] + [0]
+            lo = min(pos) + min(0, sign * length * n2) - 8
+            hi = max(pos) + max(0, sign * length * n2) + 8
+            xs = [(a * j + b * c) / n2 for j in (0, top) for c in (lo, hi)]
+            ys = [(b * j - a * c) / n2 for j in (0, top) for c in (lo, hi)]
+            box = Box(math.floor(min(xs)), math.floor(min(ys)),
+                      math.ceil(max(xs)) + 1, math.ceil(max(ys)) + 1)
+            got = closure_rescan(sites, box, U, HalfPlane(u, 0))
+            return all((i * t[0], i * t[1]) in got for i in range(length + 1))
+
+        for U, u, side, Z in cases:
+            assert any(fills(U, u, side, Z, reps, spacing)
+                       for reps in range(2, 9) for spacing in (8, 12, 16)), (U.name, u, side)
 
 
 class TestAlphaStarRhoKappa:
@@ -492,6 +512,15 @@ class TestAlphaStarRhoKappa:
         ])
         rb = rho_bound(fam, [E2], alpha=2, window=3)
         assert rb.value >= math.sqrt(5) - 1e-9
+
+    def test_rho_raises_on_a_march(self):
+        # a helper set next to (0, 1) marches right for Duarte and left for
+        # its mirror; an unstable direction marches with the empty set
+        for U in (DUARTE, DUARTE_MIRROR):
+            with pytest.raises(StripHeightExceededError):
+                rho_bound(U, [E2], alpha=2, window=2)
+        with pytest.raises(StripHeightExceededError):
+            rho_bound(U2, [Direction(1, 1)], alpha=1)
 
     def test_kappa(self):
         c2 = classify(U2)
@@ -522,7 +551,6 @@ class TestIcebergU0:
 
     def test_closedness_on_window(self):
         # triangles with faces u0, u*, u are closed next to the half-plane
-        from ubootstrap.lattice import Box, HalfPlane, Window, closure
         from ubootstrap.geometry import line_index
         for U in (DUARTE, DUARTE_MIRROR):
             u0 = iceberg_u0(U, E2, stable_set(U))
@@ -535,9 +563,9 @@ class TestIcebergU0:
                         tri.add((x, y))
             # the construction must be looked at in full: no vertex beyond the box
             assert all(-70 < x < 70 and -15 < y < 15 for x, y in tri)
-            w = Window(Box(-90, -90, 91, 91), HalfPlane(u, 0))
-            got = closure(tri, w, U)
-            assert got == tri, U.name
+            scan = strip_scan(u, tri, U)
+            assert scan.period_plus is None and scan.period_minus is None, U.name
+            assert scan.infected == tri, U.name
 
     def test_no_drift_family(self):
         with pytest.raises(NoDriftDirectionError):

@@ -7,7 +7,7 @@ import pytest
 
 from ubootstrap.families import builtin
 from ubootstrap.family import UpdateFamily
-from ubootstrap.lattice import TIMEOUT, Box, Torus, Window, closure_rescan, infection_time
+from ubootstrap.lattice import TIMEOUT, Box, Torus, closure_rescan, infection_time
 from ubootstrap.montecarlo import (
     _perc_trial,
     _ring_window_grid,
@@ -61,7 +61,7 @@ class TestPercolationProbability:
         for t in range(40):
             grid = trial_rng(seed, t).random((n, n)) < p
             pts = {(x, y) for y in range(n) for x in range(n) if grid[y, x]}
-            closed = closure_rescan(pts, Window(Torus(n)), U2)
+            closed = closure_rescan(pts, Torus(n), U2)
             assert _perc_trial((U2, n, p, seed, t)) == (len(closed) == n * n), t
 
 class TestEstimatePc:
@@ -127,7 +127,7 @@ class TestSampleTau:
         for trial in range(12):
             big = _ring_window_grid(512, 16, p, seed, trial)
             pts = {(x - 512, y - 512) for y, x in np.argwhere(big)}
-            w = Window(Box(-512, -512, 512, 512))
+            w = Box(-512, -512, 512, 512)
             t = infection_time(pts, U2, t_max, w)
             direct.append(None if t is TIMEOUT else t)
         got = list(stats.taus)

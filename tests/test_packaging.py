@@ -97,6 +97,23 @@ def test_one_merge_loop():
         assert not any(isinstance(n, ast.While) for n in ast.walk(tops[name])), name
 
 
+def test_one_halfplane_engine():
+    # strip_scan is the only engine next to a half-plane: the kernel runs
+    # under closure, in a box, and under strip_scan, and a HalfPlane is only
+    # the rescan oracle's argument
+    callers, namers = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            names = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            if "_grow" in names:
+                callers.add(where)
+            if "HalfPlane" in names:
+                namers.add(where)
+    assert callers == {"lattice.closure", "lattice.strip_scan"}
+    assert namers == {"lattice.closure_rescan"}
+
+
 # Names that nothing in src/ or perfbench/ calls, kept because a test uses
 # them as an independent oracle for an engine's output: name -> that test.
 ORACLES = {
