@@ -10,12 +10,14 @@ lookups and one memo read per candidate site, however many rules the family
 has.  ``closure`` runs the kernel in a box with a blocked boundary, and
 ``strip_scan``, the only engine next to an infected half-plane, runs it in
 the strip next to H_u, column window by column window, with
-``_column_width`` read off N.  Synchronous numpy sweeps run the torus and
-blocked-box dynamics of the Monte Carlo harness: one shifted plane per
-offset of N, ANDed per rule.  ``closure_rescan`` stays a naive full-rescan
-fixed point over the rules one by one, in a box or on a torus and
-optionally next to a half-plane, kept as the independent oracle for the
-kernel, the strip and the sweeps.  Closure is update-order independent by
+``_column_width`` read off N.  ``sweep`` is the one synchronous numpy step:
+it updates a core of a grid padded by the reach of N (its largest |dx| or
+|dy|), one contiguous plane per offset of N, ANDed per rule; the torus wraps
+the padding, ``infection_time`` zero-pads it and ``sample_tau`` sweeps only
+the origin's light cone.  ``closure_rescan`` stays a naive full-rescan fixed
+point over the rules one by one, in a box or on a torus and optionally next
+to a half-plane, kept as the independent oracle for the kernel, the strip
+and the sweeps.  Closure is update-order independent by
 monotonicity, so the kernel and the sweeps must agree exactly; infection
 times are defined by the synchronous sweep.
 """
@@ -103,11 +105,12 @@ class _FireMemo(dict):
 class _CompiledFamily:
     """A family as its neighbourhood N, each rule as the indices of its
     offsets in N, plus the fire memo: bit i of a mask stands for the offset
-    hood[i]."""
+    hood[i]; ``reach`` is the largest |dx| or |dy| over N."""
 
     hood: tuple[Site, ...]
     rule_indices: tuple[tuple[int, ...], ...]
     fires: _FireMemo
+    reach: int
 
 
 @lru_cache(maxsize=256)
@@ -116,7 +119,8 @@ def _compile_family(U) -> _CompiledFamily:
     index = {x: i for i, x in enumerate(hood)}
     rule_indices = tuple(tuple(sorted(index[x] for x in rule)) for rule in U.rules)
     return _CompiledFamily(hood, rule_indices,
-                           _FireMemo(tuple(sum(1 << i for i in r) for r in rule_indices)))
+                           _FireMemo(tuple(sum(1 << i for i in r) for r in rule_indices)),
+                           max((max(map(abs, x)) for x in hood), default=0))
 
 
 @lru_cache(maxsize=256)
@@ -231,45 +235,34 @@ def closure_rescan(A: Iterable[Site], shape: Box | Torus, U,
 # synchronous numpy sweeps
 
 
-def _roll(grid: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Torus shift: out[y, x] = grid[y + dy, x + dx]."""
-    return np.roll(np.roll(grid, -dy, axis=0), -dx, axis=1)
-
-
-def _shift(grid: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Blocked-boundary shift, zero fill: out[y, x] = grid[y + dy, x + dx]."""
-    h, w = grid.shape
-    out = np.zeros_like(grid)
-    ys = slice(max(0, dy), min(h, h + dy))
-    xs = slice(max(0, dx), min(w, w + dx))
-    yd = slice(max(0, -dy), min(h, h - dy))
-    xd = slice(max(0, -dx), min(w, w - dx))
-    if ys.start < ys.stop and xs.start < xs.stop:
-        out[yd, xd] = grid[ys, xs]
-    return out
-
-
-def sweep(grid: np.ndarray, U, torus: bool) -> np.ndarray:
-    """One synchronous update; returns the mask of newly infected cells.
-    The grid is shifted once per offset of N, and each rule ANDs its
-    offsets' planes."""
-    shiftf = _roll if torus else _shift
+def sweep(g: np.ndarray, U, core: tuple[slice, slice]) -> np.ndarray:
+    """The cells of ``g[core]`` that the next synchronous step infects.
+    ``core`` is two slices with int bounds; shifted by the reach of N it must
+    stay inside ``g``, or numpy would wrap a negative start silently."""
+    (y0, y1), (x0, x1) = (core[0].start, core[0].stop), (core[1].start, core[1].stop)
     fam = _compile_family(U)
-    planes = [shiftf(grid, dx, dy) for dx, dy in fam.hood]
-    newly = np.zeros_like(grid)
+    R, (h, w) = fam.reach, g.shape
+    if y0 < R or x0 < R or y1 + R > h or x1 + R > w:
+        raise ValueError(f"core {core} shifted by reach {R} leaves the {h}x{w} grid")
+    planes = [np.ascontiguousarray(g[y0 + dy:y1 + dy, x0 + dx:x1 + dx]) for dx, dy in fam.hood]
+    newly = np.zeros((y1 - y0, x1 - x0), dtype=bool)
     for first, *rest in fam.rule_indices:
         m = planes[first]
         for i in rest:
             m = m & planes[i]
         newly |= m
-    newly &= ~grid
+    newly &= ~g[core]
     return newly
 
 
 def torus_closure_grid(grid: np.ndarray, U) -> np.ndarray:
+    h, w = grid.shape
+    R = _compile_family(U).reach
+    iy, ix = np.arange(-R, h + R) % h, np.arange(-R, w + R) % w
+    core = (slice(R, R + h), slice(R, R + w))
     g = grid.copy()
     while True:
-        newly = sweep(g, U, torus=True)
+        newly = sweep(g.take(iy, 0).take(ix, 1), U, core)
         if not newly.any():
             return g
         g |= newly
@@ -285,21 +278,23 @@ def infection_time(A: Iterable[Site], U, t_max: int, box: Box):
     """Smallest t <= t_max with the origin in A_t under synchronous updates
     in ``box`` (blocked boundary), else TIMEOUT.  Exact on Z^2 whenever the
     box radius dominates the light cone of the origin (caller's
-    responsibility, see the harness)."""
+    responsibility, see the harness); the full-box oracle for ``sample_tau``."""
     if not box.contains((0, 0)):
         raise OriginOutsideWindowError("origin not inside the window")
-    grid = np.zeros((box.y1 - box.y0, box.x1 - box.x0), dtype=bool)
+    R = _compile_family(U).reach
+    y0, x0 = box.y0 - R, box.x0 - R  # the zero padding's corner
+    grid = np.zeros((box.y1 + R - y0, box.x1 + R - x0), dtype=bool)
     for x, y in A:
         if box.contains((x, y)):
-            grid[y - box.y0, x - box.x0] = True
-    oy, ox = -box.y0, -box.x0
+            grid[y - y0, x - x0] = True
+    core, oy, ox = (slice(R, box.y1 - y0), slice(R, box.x1 - x0)), -y0, -x0
     if grid[oy, ox]:
         return 0
     for t in range(1, t_max + 1):
-        newly = sweep(grid, U, torus=False)
+        newly = sweep(grid, U, core)
         if not newly.any():
             return TIMEOUT
-        grid |= newly
+        grid[core] |= newly
         if grid[oy, ox]:
             return t
     return TIMEOUT

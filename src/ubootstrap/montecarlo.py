@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .family import UpdateFamily, nu
-from .lattice import percolates_grid, sweep
+from .lattice import _compile_family, percolates_grid, sweep
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -207,23 +207,22 @@ def estimate_pc(family: UpdateFamily, n: int, trials: int = 64, tol: float = 0.0
 
 def _tau_trial(arg):
     fam, p, seed, trial, t_max, r0, r_cap, nu_val = arg
+    R = _compile_family(fam).reach
     r = r0
     while True:
-        grid = _ring_window_grid(r, r0, p, seed, trial)
-        origin = (r, r)  # grid[y + r, x + r]
+        g = _ring_window_grid(r, r0, p, seed, trial)  # origin at g[r, r]
         t_lim = int((r - 1) / nu_val)
         horizon = min(t_max, t_lim)
-        if grid[origin]:
+        if g[r, r]:
             return 0
-        g = grid
-        t = 0
-        while t < horizon:
-            newly = sweep(g, fam, torus=False)
+        for t in range(1, horizon + 1):
+            k = R * (horizon - t)  # only this light cone can reach the origin in time
+            core = (slice(r - k, r + k + 1),) * 2
+            newly = sweep(g, fam, core)
             if not newly.any():
                 break
-            g |= newly
-            t += 1
-            if g[origin]:
+            g[core] |= newly
+            if g[r, r]:
                 return t
         if t_lim >= t_max:
             return None  # exact timeout: the light cone covered the horizon
@@ -242,7 +241,12 @@ def sample_tau(family: UpdateFamily, p: float, trials: int, t_max: int,
 
     The window doubles until the realized time fits its light cone, so every
     reported value is the exact infection time on the infinite lattice; the
-    horizon is capped by the window memory limit."""
+    horizon is capped by the window memory limit.  Only the origin's light
+    cone is swept: step t updates the box of half-width reach*(horizon - t).
+    nu pairs each offset of N with the origin, so reach <= nu, and a window
+    of radius r >= nu*horizon + 1 holds the first box and its reads; each box
+    reads only the previous one, which was exact.  A step that changes
+    nothing in its box changes no later box, so the trial stops there."""
     if r0 < 1:
         raise ValueError("initial window radius must be positive")
     nu_val = nu(family)

@@ -74,21 +74,36 @@ class TestClosure:
         cells = lambda g: {(x, y) for y in range(n) for x in range(n) if g[y, x]}
         pts = cells(grid)
         assert cells(torus_closure_grid(grid, fam)) == closure_rescan(pts, Torus(n), fam)
-        # the same cells in a blocked box centred on the origin
+        # the same cells in a blocked box centred on the origin, zero-padded
+        # by the reach of N
         h = n // 2
         box = Box(-h, -h, n - h, n - h)
         sites = {(x - h, y - h) for x, y in pts}
         want = closure_rescan(sites, box, fam)
-        g = grid.copy()
-        steps, t_origin = 0, (0 if g[h, h] else TIMEOUT)
-        while (newly := lattice.sweep(g, fam, torus=False)).any():
-            g |= newly
+        R = lattice._compile_family(fam).reach
+        g = np.pad(grid, R)
+        core = (slice(R, R + n),) * 2
+        steps, t_origin = 0, (0 if grid[h, h] else TIMEOUT)
+        while (newly := lattice.sweep(g, fam, core)).any():
+            g[core] |= newly
             steps += 1
-            if t_origin is TIMEOUT and g[h, h]:
+            if t_origin is TIMEOUT and g[R + h, R + h]:
                 t_origin = steps
-        assert {(x - h, y - h) for x, y in cells(g)} == want
+        assert {(x - h, y - h) for x, y in cells(g[core])} == want
         assert (t_origin is not TIMEOUT) == ((0, 0) in want)
         assert infection_time(sites, fam, n * n, box) == t_origin
+
+    def test_sweep_rejects_a_core_without_padding(self):
+        # the core shifted by the reach (1 for two-neighbour) must stay
+        # inside the grid; numpy would wrap the negative bounds of the last
+        # core silently, and the others' planes would not line up
+        g = np.ones((8, 8), dtype=bool)
+        for core in ((slice(0, 7), slice(1, 7)), (slice(1, 7), slice(1, 8)),
+                     (slice(1, 8), slice(1, 7)), (slice(1, 7), slice(0, 1)),
+                     (slice(-4, -1), slice(1, 7))):
+            with pytest.raises(ValueError, match="shifted by reach"):
+                lattice.sweep(g, U2, core)
+        assert lattice.sweep(g, U2, (slice(1, 7), slice(1, 7))).shape == (6, 6)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -1,13 +1,15 @@
 import math
 import multiprocessing
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ubootstrap.families import builtin
 from ubootstrap.family import UpdateFamily
-from ubootstrap.lattice import TIMEOUT, Box, Torus, closure_rescan, infection_time
+from ubootstrap.lattice import TIMEOUT, Box, Torus, closure_rescan, infection_time, torus_closure_grid
 from ubootstrap.montecarlo import (
     _perc_trial,
     _ring_window_grid,
@@ -18,6 +20,17 @@ from ubootstrap.montecarlo import (
 )
 
 U2 = builtin("two-neighbour")
+
+
+def _families_within(r):
+    offsets = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if (x, y) != (0, 0)]
+    return st.lists(st.lists(st.sampled_from(offsets), min_size=1, max_size=3),
+                    min_size=1, max_size=4)
+
+
+# 1-4 rules of 1-3 sites within radius 1, 2 or 3; in most of them the reach
+# of N (largest |dx| or |dy|) is below nu
+RADIUS_3_FAMILIES = st.integers(1, 3).flatmap(_families_within).map(UpdateFamily.of)
 
 
 class TestRng:
@@ -63,6 +76,15 @@ class TestPercolationProbability:
             pts = {(x, y) for y in range(n) for x in range(n) if grid[y, x]}
             closed = closure_rescan(pts, Torus(n), U2)
             assert _perc_trial((U2, n, p, seed, t)) == (len(closed) == n * n), t
+
+    @given(RADIUS_3_FAMILIES, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_torus_narrower_than_reach_matches_rescan(self, fam, n, seed):
+        # the padding wraps round the torus more than once when n < reach
+        grid = np.random.default_rng(seed).random((n, n)) < 0.3
+        cells = lambda g: {(x, y) for y in range(n) for x in range(n) if g[y, x]}
+        assert cells(torus_closure_grid(grid, fam)) == closure_rescan(cells(grid), Torus(n), fam)
+
 
 class TestEstimatePc:
     def test_toy_family_decreases_with_n(self):
@@ -134,6 +156,24 @@ class TestSampleTau:
         want = sorted(t for t in direct if t is not None)
         assert got == want
         assert stats.timeouts == sum(1 for t in direct if t is None)
+
+    @given(RADIUS_3_FAMILIES, st.floats(0.05, 0.5), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_light_cone_matches_full_box_on_random_families(self, fam, p, seed):
+        # sample_tau sweeps only the origin's light cone in windows that
+        # double from radius 8; infection_time sweeps the whole radius-64
+        # box drawn from the same ring substreams
+        r0, r_cap, trials = 8, 64, 6
+        with mock.patch.dict(os.environ, {"UBP_THREADS": "1"}):
+            stats = sample_tau(fam, p, trials, t_max=40, seed=seed, r0=r0, r_cap=r_cap)
+        box = Box(-r_cap, -r_cap, r_cap, r_cap)
+        direct = []
+        for trial in range(trials):
+            big = _ring_window_grid(r_cap, r0, p, seed, trial)
+            pts = {(x - r_cap, y - r_cap) for y, x in np.argwhere(big)}
+            direct.append(infection_time(pts, fam, stats.t_max, box))
+        assert stats.taus == tuple(sorted(t for t in direct if t is not TIMEOUT))
+        assert stats.timeouts == sum(t is TIMEOUT for t in direct)
 
     def test_deterministic_across_workers(self):
         old = os.environ.get("UBP_THREADS")

@@ -114,6 +114,24 @@ def test_one_halfplane_engine():
     assert namers == {"lattice.closure_rescan"}
 
 
+def test_one_sweep_kernel():
+    # sweep is the only function that builds shifted planes; callers pad the
+    # grid instead of choosing a torus roll or a zero-fill shift
+    builders, shifters = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            mentions = _mentions(top)
+            if mentions["ascontiguousarray"]:
+                builders.add(where)
+            if (mentions.keys() & {"roll", "_roll", "_shift"}
+                    or any(isinstance(n, (ast.arg, ast.keyword)) and n.arg == "torus"
+                           for n in ast.walk(top))):
+                shifters.add(where)
+    assert builders == {"lattice.sweep"}
+    assert not shifters, shifters
+
+
 # Names that nothing in src/ or perfbench/ calls, kept because a test uses
 # them as an independent oracle for an engine's output: name -> that test.
 ORACLES = {
