@@ -4,10 +4,15 @@ definitional oracle that spanning is checked against.
 
 A droplet is the lattice restriction of a convex polygon cut out by
 half-planes with normals in a fixed direction set; an iceberg is the drift
-variant resting on an infected half-plane.  Merge conditions are decided
-exactly on lattice sites (strong connectivity in the kappa-disc graph); the
-translate-existence tests are Minkowski dilations, computed as integer-valued
-FFT convolutions on offset grids.
+variant resting on an infected half-plane.  A piece is held as its mask: one
+boolean offset grid, rasterised from its constraints with numpy and cached
+per piece.  Every piece the algorithms build is tight (each offset is
+attained by one of its sites), so the smallest droplet or iceberg of two
+pieces' union takes the elementwise maximum of their offsets, and a merge
+never enumerates sites.  Line indices are read off the mask's index planes.
+Merge conditions are decided exactly on lattice sites (strong connectivity
+in the kappa-disc graph); the translate-existence tests are Minkowski
+dilations, computed as integer-valued FFT convolutions on offset grids.
 
 All three algorithms run one loop, ``_merge_loop``: steps in priority order,
 lowest index pair first, merging until no step applies.  Each test reads only
@@ -25,7 +30,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .geometry import Direction, Site, ccw_key, cross, line_index, sort_directions
+from .geometry import Direction, Site, ccw_key, line_index, sort_directions
 from .lattice import Box, closure
 
 
@@ -35,10 +40,6 @@ class UnboundedDropletError(ValueError):
 
 class NotDriftFamilyError(ValueError):
     pass
-
-
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
 
 
 def _directions_bound_plane(dirs: Sequence[Direction]) -> bool:
@@ -52,46 +53,6 @@ def _directions_bound_plane(dirs: Sequence[Direction]) -> bool:
         if ccw_key(d, order[(i + 1) % len(order)]) >= pi_key:
             return False
     return True
-
-
-def _region_sites(constraints: Sequence[tuple[int, int, int]]) -> list[Site]:
-    """Lattice points of {x : a x + b y <= c for each (a, b, c)}; the real
-    polytope must be bounded."""
-    verts = []
-    n = len(constraints)
-    for i in range(n):
-        a1, b1, c1 = constraints[i]
-        for j in range(i + 1, n):
-            a2, b2, c2 = constraints[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x = Fraction(c1 * b2 - c2 * b1, det)
-            y = Fraction(a1 * c2 - a2 * c1, det)
-            if all(a * x + b * y <= c for a, b, c in constraints):
-                verts.append((x, y))
-    if not verts:
-        return []
-    y_lo = min(math.floor(v[1]) for v in verts)
-    y_hi = max(math.ceil(v[1]) for v in verts)
-    x_min = min(math.floor(v[0]) for v in verts)
-    x_max = max(math.ceil(v[0]) for v in verts)
-    out = []
-    for y in range(y_lo, y_hi + 1):
-        x_lo, x_hi = x_min, x_max
-        ok = True
-        for a, b, c in constraints:
-            r = c - b * y
-            if a > 0:
-                x_hi = min(x_hi, r // a)
-            elif a < 0:
-                x_lo = max(x_lo, _ceil_div(-r, -a))
-            elif r < 0:
-                ok = False
-                break
-        if ok:
-            out.extend((x, y) for x in range(x_lo, x_hi + 1))
-    return out
 
 
 def _hull(points: Sequence[Site]) -> list[Site]:
@@ -129,7 +90,10 @@ def _diam(points: Sequence[Site]) -> float:
 @dataclass(frozen=True)
 class Droplet:
     """Intersection of translated half-planes {x : line_index(x, u) < a_u}
-    over a direction set meeting every open semicircle."""
+    over a direction set meeting every open semicircle.  The algorithms
+    build only tight droplets: each a_u is one more than the largest line
+    index in u of the droplet's sites, so the minimal droplet of two
+    droplets' union has the elementwise maximum of their offsets."""
 
     directions: tuple[Direction, ...]
     offsets: tuple[int, ...]
@@ -145,7 +109,7 @@ class Droplet:
         return [(u.a, u.b, o - 1) for u, o in zip(self.directions, self.offsets)]
 
     def sites(self) -> frozenset:
-        return _droplet_sites(self)
+        return _piece_grid(self).sites()
 
     def contains(self, s: Site) -> bool:
         return all(line_index(s, u) < o for u, o in zip(self.directions, self.offsets))
@@ -155,8 +119,9 @@ class Droplet:
                        tuple(o + line_index(v, u) for u, o in zip(self.directions, self.offsets)))
 
     def proj(self, u: Direction) -> float:
-        vals = [line_index(s, u) for s in self.sites()]
-        return (max(vals) - min(vals)) / u.norm()
+        g = _piece_grid(self)
+        vals = g.index_plane(u)[g.arr]
+        return int(vals.max() - vals.min()) / u.norm()
 
     def diam(self) -> float:
         return _diam(list(self.sites()))
@@ -164,11 +129,6 @@ class Droplet:
     def __repr__(self):
         faces = ", ".join(f"{u}<{o}" for u, o in zip(self.directions, self.offsets))
         return f"Droplet({faces})"
-
-
-@lru_cache(maxsize=8192)
-def _droplet_sites(d: Droplet) -> frozenset:
-    return frozenset(_region_sites(d.constraints()))
 
 
 def minimal_droplet(K: Iterable[Site], T: Sequence[Direction]) -> Droplet:
@@ -231,8 +191,21 @@ class OGrid:
             other.x0 - x0:other.x0 - x0 + other.arr.shape[1]] |= other.arr
         return OGrid(arr, x0, y0)
 
-    def any(self) -> bool:
-        return bool(self.arr.any())
+    def sites(self) -> frozenset:
+        ys, xs = np.nonzero(self.arr)
+        return frozenset(zip((xs + self.x0).tolist(), (ys + self.y0).tolist()))
+
+    def box(self) -> Box:
+        """Bounding box of the grid's sites."""
+        ys, xs = np.nonzero(self.arr)
+        return Box(self.x0 + int(xs.min()), self.y0 + int(ys.min()),
+                   self.x0 + int(xs.max()) + 1, self.y0 + int(ys.max()) + 1)
+
+    def index_plane(self, u: Direction) -> np.ndarray:
+        """line_index(x, u) at every cell x of the grid."""
+        h, w = self.arr.shape
+        return (u.a * np.arange(self.x0, self.x0 + w)[None, :]
+                + u.b * np.arange(self.y0, self.y0 + h)[:, None])
 
     def first_site(self) -> Optional[Site]:
         idx = np.argwhere(self.arr)
@@ -242,15 +215,35 @@ class OGrid:
         return (int(ix) + self.x0, int(iy) + self.y0)
 
     def first_site_with_index_at_most(self, u: Direction, bound: int) -> Optional[Site]:
-        h, w = self.arr.shape
-        xs = np.arange(self.x0, self.x0 + w)
-        ys = np.arange(self.y0, self.y0 + h)
-        idxplane = u.a * xs[None, :] + u.b * ys[:, None]
-        hit = np.argwhere(self.arr & (idxplane <= bound))
-        if hit.size == 0:
-            return None
-        iy, ix = hit[0]
-        return (int(ix) + self.x0, int(iy) + self.y0)
+        return OGrid(self.arr & (self.index_plane(u) <= bound), self.x0, self.y0).first_site()
+
+
+def _region_grid(constraints: Sequence[tuple[int, int, int]]) -> OGrid:
+    """Mask of the lattice points of {x : a x + b y <= c for each (a, b, c)}
+    over the box of the exact vertices; the real polytope must be bounded."""
+    verts = []
+    for i, (a1, b1, c1) in enumerate(constraints):
+        for a2, b2, c2 in constraints[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det:
+                x = Fraction(c1 * b2 - c2 * b1, det)
+                y = Fraction(a1 * c2 - a2 * c1, det)
+                if all(a * x + b * y <= c for a, b, c in constraints):
+                    verts.append((x, y))
+    if not verts:
+        return OGrid(np.zeros((0, 0), dtype=bool), 0, 0)
+    x0, y0 = (math.ceil(min(v[k] for v in verts)) for k in (0, 1))
+    x1, y1 = (math.floor(max(v[k] for v in verts)) for k in (0, 1))
+    g = OGrid(np.ones((max(0, y1 - y0 + 1), max(0, x1 - x0 + 1)), dtype=bool), x0, y0)
+    for a, b, c in constraints:
+        g.arr &= g.index_plane(Direction(a, b)) <= c
+    return g
+
+
+@lru_cache(maxsize=1024)
+def _piece_grid(p) -> OGrid:
+    """The mask of a droplet or iceberg; callers must not modify it."""
+    return _region_grid(p.constraints())
 
 
 def disc_offsets(kappa: float) -> list[Site]:
@@ -364,7 +357,7 @@ class MergeEvent:
 
 
 def _first_site(r: Optional[OGrid]) -> Optional[Site]:
-    return r.first_site() if r is not None and r.any() else None
+    return None if r is None else r.first_site()
 
 
 def _merge_loop(pieces: list, steps: Sequence[tuple], record=None):
@@ -429,17 +422,17 @@ class CoverResult:
 def _bridge_kernel(kappa: float, d_hat) -> OGrid:
     """Offsets v with (v + d_hat) within kappa of the origin: the kernel whose
     dilation of a site set S yields {x : dist(x + d_hat, S) <= kappa}."""
-    disc = OGrid.from_sites(disc_offsets(kappa))
-    hat_neg = OGrid.from_sites([(-x, -y) for x, y in d_hat.sites()])
-    return disc.dilate(hat_neg)
+    hat = _piece_grid(d_hat)
+    h, w = hat.arr.shape
+    hat_neg = OGrid(hat.arr[::-1, ::-1], 1 - hat.x0 - w, 1 - hat.y0 - h)
+    return OGrid.from_sites(disc_offsets(kappa)).dilate(hat_neg)
 
 
-def _droplet_merge(directions: Sequence[Direction]):
-    """Merge step: two droplets become the minimal droplet of their union."""
-    def merge(a: Droplet, b: Droplet):
-        new = minimal_droplet(a.sites() | b.sites(), directions)
-        return new, new
-    return merge
+def _droplet_merge(a: Droplet, b: Droplet):
+    """Merge step: two tight droplets become the minimal droplet of their
+    union, whose offsets are the elementwise maxima."""
+    new = Droplet(a.directions, tuple(map(max, a.offsets, b.offsets)))
+    return new, new
 
 
 def covering_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
@@ -464,14 +457,14 @@ def covering_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
 
     def reach_of(d: Droplet) -> OGrid:
         if d not in reach:
-            reach[d] = OGrid.from_sites(d.sites()).dilate(kernel)
+            reach[d] = _piece_grid(d).dilate(kernel)
         return reach[d]
 
     def bridge(a: Droplet, b: Droplet) -> Optional[Site]:
         return _first_site(reach_of(a).intersect(reach_of(b)))
 
     seeds = [d_hat.translate(min(cl)) for cl in clusters]
-    live, log, ancestors = _merge_loop(seeds, [(bridge, _droplet_merge(directions), True)],
+    live, log, ancestors = _merge_loop(seeds, [(bridge, _droplet_merge, True)],
                                        record=lambda d: d)
     return CoverResult(live, clusters, dust, log, ancestors, d_hat)
 
@@ -489,11 +482,9 @@ class SpanResult:
 
 
 def _span_window(K, dirs, kappa) -> Box:
-    hull = minimal_droplet(K, dirs)
+    hull = _piece_grid(minimal_droplet(K, dirs)).box()
     pad = int(math.ceil(kappa + 4))
-    xs = [s[0] for s in hull.sites()]
-    ys = [s[1] for s in hull.sites()]
-    return Box(min(xs) - pad, min(ys) - pad, max(xs) + pad + 1, max(ys) + pad + 1)
+    return Box(hull.x0 - pad, hull.y0 - pad, hull.x1 + pad, hull.y1 + pad)
 
 
 class _SpanPart(NamedTuple):
@@ -558,9 +549,7 @@ def is_internally_spanned(D: Droplet, A: Iterable[Site], U, kappa: float) -> boo
     seeds = D.sites() & set(A)
     if not seeds:
         return False
-    xs = [s[0] for s in D.sites()]
-    ys = [s[1] for s in D.sites()]
-    closed = closure(seeds, Box(min(xs), min(ys), max(xs) + 1, max(ys) + 1), U)
+    closed = closure(seeds, _piece_grid(D).box(), U)
     for comp in strongly_connected_components(closed, kappa):
         if minimal_droplet(comp, D.directions) == D:
             return True
@@ -574,13 +563,20 @@ def is_internally_spanned(D: Droplet, A: Iterable[Site], U, kappa: float) -> boo
 @dataclass(frozen=True)
 class Iceberg:
     """Triangle (H_{u0}(a) ∩ H_{u*}(b)) minus H_u: faces perpendicular to u0
-    and u*, resting on the base half-plane boundary of u."""
+    and u*, resting on the base half-plane boundary of u.  The triangle is
+    bounded only when u lies strictly between u0 and u*.  Like droplets,
+    the icebergs the algorithm builds are tight."""
 
     u: Direction
     u0: Direction
     u_star: Direction
     offset0: int
     offset_star: int
+
+    def __post_init__(self):
+        if not _directions_bound_plane((self.u0, self.u_star, self.u.neg())):
+            raise UnboundedDropletError(
+                "base direction must lie strictly between u0 and u*; icebergs are unbounded")
 
     def constraints(self) -> list[tuple[int, int, int]]:
         return [
@@ -590,16 +586,11 @@ class Iceberg:
         ]
 
     def sites(self) -> frozenset:
-        return _iceberg_sites(self)
+        return _piece_grid(self).sites()
 
     def __repr__(self):
         return (f"Iceberg(u={self.u}, {self.u0}<{self.offset0}, "
                 f"{self.u_star}<{self.offset_star})")
-
-
-@lru_cache(maxsize=8192)
-def _iceberg_sites(j: Iceberg) -> frozenset:
-    return frozenset(_region_sites(j.constraints()))
 
 
 def smallest_iceberg(X: Iterable[Site], u: Direction, u0: Direction,
@@ -641,7 +632,7 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
 
     Requires u strictly between u0 and u_star, so icebergs are finite.
     """
-    if cross(u, u_star) == 0 or cross(u, u0) == 0:
+    if not _directions_bound_plane((u0, u_star, u.neg())):
         raise NotDriftFamilyError("base direction must lie strictly between u0 and u*")
     K = sorted(set(K))
     if any(line_index(s, u) < 0 for s in K):
@@ -656,7 +647,8 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
     # plane within kappa iff its minimal index is at most j_direct, and some
     # translate x + d_hat does iff index(x) is at most j_bridge
     j_direct = _halfplane_distance_table(u, kappa)
-    j_bridge = j_direct - min(line_index(s, u) for s in d_hat.sites())
+    hat = _piece_grid(d_hat)
+    j_bridge = j_direct - int(hat.index_plane(u)[hat.arr].min())
 
     disc = OGrid.from_sites(disc_offsets(kappa))
     cache: dict[object, tuple[bool, OGrid, OGrid, OGrid]] = {}
@@ -664,16 +656,13 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
     def info(p):
         # (within kappa of the plane, raw grid, kappa-dilation, bridge reach)
         if p not in cache:
-            sites = p.sites()
-            g = OGrid.from_sites(sites)
-            cache[p] = (min(line_index(s, u) for s in sites) <= j_direct, g,
+            g = _piece_grid(p)
+            cache[p] = (bool(g.index_plane(u)[g.arr].min() <= j_direct), g,
                         g.dilate(disc), g.dilate(kernel))
         return cache[p]
 
     def near_half(r: Optional[OGrid]) -> Optional[Site]:
-        if r is None:
-            return None
-        return r.first_site_with_index_at_most(u, j_bridge)
+        return None if r is None else r.first_site_with_index_at_most(u, j_bridge)
 
     def to_plane(p):
         # step 1: a droplet joinable to the half-plane through one translate
@@ -710,12 +699,22 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
             return True
         return _first_site(ra.intersect(rb))
 
-    def iceberg_of(a, b=None):
-        new = smallest_iceberg(a.sites() if b is None else a.sites() | b.sites(), u, u0, u_star)
+    def iceberg_offsets(p) -> tuple[int, int]:
+        # a tight iceberg's own offsets; for a droplet, those of its sites
+        # in u >= 0
+        if isinstance(p, Iceberg):
+            return p.offset0, p.offset_star
+        g = _piece_grid(p)
+        above = g.arr & (g.index_plane(u) >= 0)
+        return 1 + int(g.index_plane(u0)[above].max()), 1 + int(g.index_plane(u_star)[above].max())
+
+    def iceberg_of(*parts):
+        o0, o_star = zip(*map(iceberg_offsets, parts))
+        new = Iceberg(u, u0, u_star, max(o0), max(o_star))
         return new, new
 
     steps = [(to_plane, iceberg_of, False), (with_plane, iceberg_of, True),
-             (droplet_pair, _droplet_merge(directions), True)]
+             (droplet_pair, _droplet_merge, True)]
     pieces, log, _ = _merge_loop([d_hat.translate(s) for s in K], steps)
     counts = {1: 0, 2: 0, 3: 0}
     for e in log:

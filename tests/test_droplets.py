@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ubootstrap.families import builtin
 from ubootstrap.family import classify, kappa as kappa_of, nu, rho_bound, stable_set, iceberg_u0
-from ubootstrap.geometry import Direction, line_index
+from ubootstrap.geometry import Direction, line_index, sort_directions
 from ubootstrap.lattice import Box, closure, strip_scan
 from ubootstrap import droplets
 from ubootstrap.droplets import (
     Droplet,
     Iceberg,
     MergeEvent,
+    NotDriftFamilyError,
     UnboundedDropletError,
     _halfplane_distance_table,
     alpha_clusters,
@@ -67,6 +69,37 @@ class TestDroplet:
         t = d.translate((2, -1))
         assert t.sites() == {(x + 2, y - 1) for x, y in d.sites()}
         assert t.contains((2, -1)) and not t.contains((-1, 0))
+
+
+SMALL_DIRS = sort_directions(Direction.of(a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b)
+
+
+@st.composite
+def pieces(draw):
+    """Bounded droplets of 3-6 directions, or thin icebergs."""
+    try:
+        if draw(st.booleans()):
+            dirs = draw(st.lists(st.sampled_from(SMALL_DIRS), min_size=3, max_size=6, unique=True))
+            offsets = draw(st.lists(st.integers(-3, 8), min_size=len(dirs), max_size=len(dirs)))
+            return Droplet(tuple(dirs), tuple(offsets))
+        u0, u_star, u = draw(st.lists(st.sampled_from(SMALL_DIRS), min_size=3, max_size=3, unique=True))
+        return Iceberg(u, u0, u_star, draw(st.integers(-3, 4)), draw(st.integers(-3, 4)))
+    except UnboundedDropletError:
+        assume(False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pieces())
+@example(Droplet(AXES, (0, 0, 0, 0)))  # x < 0 and x > 0: no vertex
+@example(Droplet((Direction(1, -2), Direction(2, 3), Direction(-2, -1)), (0, 3, 1)))  # no lattice point
+def test_mask_matches_enumeration(p):
+    # every vertex solves two constraints, so by Cramer's rule its
+    # coordinates are at most 2 * 3 * max |c| in absolute value
+    cons = p.constraints()
+    r = 6 * max(abs(c) for _, _, c in cons) + 1
+    box = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
+    want = {s for s in box if all(a * s[0] + b * s[1] <= c for a, b, c in cons)}
+    assert droplets._piece_grid(p).sites() == want == p.sites()
 
 
 class TestAlphaClusters:
@@ -308,6 +341,16 @@ class TestIceberg:
             if line_index(s, u) >= 0:
                 assert s in J.sites()
 
+    def test_unbounded_iceberg_rejected(self):
+        # u = (1, 0) is not strictly between u0 and u*: the triangle is
+        # unbounded, so no finite mask holds both sites
+        _, _, u0, u_star, kap = duarte_drift_context()
+        assert (u0, u_star) == (Direction(-1, 2), E2)
+        with pytest.raises(UnboundedDropletError):
+            smallest_iceberg([(0, 3), (2, 5)], E1, u0, u_star)
+        with pytest.raises(NotDriftFamilyError):
+            iceberg_algorithm([(0, 3), (20, 5)], E1, u0, u_star, DUARTE, kap)
+
     def test_empty_input(self):
         _, u, u0, u_star, kap = duarte_drift_context()
         res = iceberg_algorithm([], u, u0, u_star, DUARTE, kap)
@@ -443,3 +486,57 @@ class TestMergeLoop:
             res = self.check(monkeypatch, lambda: iceberg_algorithm(
                 iceberg_input(seed), u, u0, u_star, DUARTE, kap))
             assert all(res.step_counts.values()), res.step_counts
+
+
+class TestMergeByOffsets:
+    """Pieces are tight, so a merge takes the maxima of its parents'
+    offsets.  Each merge result must equal the smallest droplet or iceberg
+    of the union of its parents' sites."""
+
+    def check(self, monkeypatch, run, oracles):
+        loop = droplets._merge_loop
+        merged = []
+
+        def spied(pieces, steps, record=None):
+            def checked(oracle, merge):
+                def run_merge(*parents):
+                    new, result = merge(*parents)
+                    assert new == oracle(frozenset().union(*(p.sites() for p in parents)))
+                    merged.append(new)
+                    return new, result
+                return run_merge
+            return loop(pieces, [(t, checked(o, m), p) for o, (t, m, p) in zip(oracles, steps)],
+                        record)
+
+        with monkeypatch.context() as m:
+            m.setattr(droplets, "_merge_loop", spied)
+            res = run()
+        assert len(merged) == len(res.merge_log)
+        return res
+
+    def test_covering_merges(self, monkeypatch):
+        cls = classify(U2)
+        kap = kappa_of(U2, cls, rho_bound(U2, cls.droplet_directions, cls.alpha).value)
+        dirs = cls.droplet_directions
+        rng = np.random.default_rng(23)
+        for alpha in (1, 2):
+            K = {(int(x), int(y)) for x, y in rng.integers(0, 60, size=(40, 2))}
+            res = self.check(monkeypatch, lambda: covering_algorithm(K, U2, dirs, alpha, kap),
+                             [lambda union: minimal_droplet(union, dirs)])
+            assert res.merge_log
+
+    def test_iceberg_merges(self, monkeypatch):
+        _, u, u0, u_star, kap = duarte_drift_context()
+
+        def run(K, u, u0, u_star):
+            iceberg = lambda union: smallest_iceberg(union, u, u0, u_star)
+            return self.check(monkeypatch, lambda: iceberg_algorithm(K, u, u0, u_star, DUARTE, kap),
+                              [iceberg, iceberg, lambda union: minimal_droplet(union, AXES)])
+
+        for seed in range(2):
+            res = run(iceberg_input(seed), u, u0, u_star)
+            assert all(res.step_counts.values()), res.step_counts
+        # u is more than 135 degrees from u*, so the seed droplet's top face
+        # lies in H_u and only its sites in u >= 0 set the iceberg's offsets
+        res = run([(0, 0)], Direction(-1, -2), Direction(-1, -6), u_star)
+        assert res.step_counts[1] == 1

@@ -132,6 +132,31 @@ def test_one_sweep_kernel():
     assert not shifters, shifters
 
 
+def test_one_piece_representation():
+    # a droplet or iceberg is its mask: in droplets.py only the sites
+    # methods and the test oracles list a piece's lattice points, and no
+    # mask is rebuilt from them
+    callers, rebuilders = set(), set()
+    for top in ast.parse((PACKAGE / "droplets.py").read_text()).body:
+        if isinstance(top, ast.ClassDef):
+            defs = [(f"{top.name}.{node.name}", node) for node in top.body
+                    if isinstance(node, ast.FunctionDef)]
+        else:
+            defs = [(getattr(top, "name", "<module>"), top)]
+        for where, node in defs:
+            for call in ast.walk(node):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+                    continue
+                if call.func.attr == "sites":
+                    callers.add(where)
+                if call.func.attr == "from_sites" and any(
+                        isinstance(n, ast.Attribute) and n.attr == "sites"
+                        for arg in call.args for n in ast.walk(arg)):
+                    rebuilders.add(where)
+    assert callers <= set(ORACLES) | {"Droplet.sites", "Iceberg.sites"}, callers
+    assert not rebuilders, rebuilders
+
+
 # Names that nothing in src/ or perfbench/ calls, kept because a test uses
 # them as an independent oracle for an engine's output: name -> that test.
 ORACLES = {
@@ -140,6 +165,7 @@ ORACLES = {
     "is_internally_spanned": "test_droplets.py::test_spanned_definitional_vs_algorithm",
     "Droplet.diam": "test_droplets.py::test_extremal_bound",
     "Droplet.proj": "test_droplets.py::test_aizenman_lebowitz_projections",
+    "smallest_iceberg": "test_droplets.py::test_iceberg_merges",
     "Direction.angle": "test_geometry.py::test_ccw_key_agrees_with_float_angles",
 }
 
