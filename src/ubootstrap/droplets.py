@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -220,20 +219,21 @@ class OGrid:
 
 def _region_grid(constraints: Sequence[tuple[int, int, int]]) -> OGrid:
     """Mask of the lattice points of {x : a x + b y <= c for each (a, b, c)}
-    over the box of the exact vertices; the real polytope must be bounded."""
+    over the box of the exact vertices; the real polytope must be bounded.
+    A vertex is held as integer numerators over a positive denominator."""
     verts = []
     for i, (a1, b1, c1) in enumerate(constraints):
         for a2, b2, c2 in constraints[i + 1:]:
             det = a1 * b2 - a2 * b1
             if det:
-                x = Fraction(c1 * b2 - c2 * b1, det)
-                y = Fraction(a1 * c2 - a2 * c1, det)
-                if all(a * x + b * y <= c for a, b, c in constraints):
-                    verts.append((x, y))
+                s = 1 if det > 0 else -1
+                xn, yn, det = s * (c1 * b2 - c2 * b1), s * (a1 * c2 - a2 * c1), s * det
+                if all(a * xn + b * yn <= c * det for a, b, c in constraints):
+                    verts.append((xn, yn, det))
     if not verts:
         return OGrid(np.zeros((0, 0), dtype=bool), 0, 0)
-    x0, y0 = (math.ceil(min(v[k] for v in verts)) for k in (0, 1))
-    x1, y1 = (math.floor(max(v[k] for v in verts)) for k in (0, 1))
+    x0, y0 = (min(-(-v[k] // v[2]) for v in verts) for k in (0, 1))
+    x1, y1 = (max(v[k] // v[2] for v in verts) for k in (0, 1))
     g = OGrid(np.ones((max(0, y1 - y0 + 1), max(0, x1 - x0 + 1)), dtype=bool), x0, y0)
     for a, b, c in constraints:
         g.arr &= g.index_plane(Direction(a, b)) <= c

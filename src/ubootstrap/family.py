@@ -36,7 +36,7 @@ from .geometry import (
     sort_directions,
     strictly_between,
 )
-from .lattice import StripVerdict, _compile_family, is_stable, strip_scan
+from .lattice import StripVerdict, is_stable, strip_scan
 
 
 class EmptyFamilyError(ValueError):
@@ -68,13 +68,55 @@ class NoDriftDirectionError(ValueError):
 # update families
 
 
+class _FireMemo(dict):
+    """Mask over a neighbourhood -> whether it covers some rule's mask."""
+
+    def __init__(self, rule_masks: tuple[int, ...]):
+        super().__init__()
+        self.rule_masks = rule_masks
+
+    def __missing__(self, mask: int) -> bool:
+        fire = any(r & mask == r for r in self.rule_masks)
+        self[mask] = fire
+        return fire
+
+
 @dataclass(frozen=True)
 class UpdateFamily:
     """A finite list of finite rules X subset of Z^2 minus the origin; a site
-    becomes infected when some rule, translated to it, is fully infected."""
+    becomes infected when some rule, translated to it, is fully infected.
+
+    The engines read the family in the compiled form built here, once:
+    ``hood`` is its neighbourhood N (the union of the rules), sorted;
+    ``rule_indices`` holds each rule as the indices of its offsets in N;
+    ``reach`` is the largest |dx| or |dy| over N; and ``fires`` is a memo
+    from masks over N (bit i stands for hood[i]: which offsets of a site
+    are infected) to whether some rule fires, filled lazily from the rules'
+    own masks.  N is empty exactly when there are no rules.  The hash is
+    the rules' hash, taken once; the name stays out of it because
+    hash(str) is salted per process.  A pickle carries the rules and the
+    name only, never the memo.
+    """
 
     rules: tuple[frozenset, ...]
     name: str = ""
+
+    def __post_init__(self):
+        hood = tuple(sorted(set().union(*self.rules)))
+        index = {x: i for i, x in enumerate(hood)}
+        rule_indices = tuple(tuple(sorted(index[x] for x in rule)) for rule in self.rules)
+        # the instance is frozen, so the compiled fields go in past __setattr__
+        self.__dict__.update(
+            hood=hood, rule_indices=rule_indices,
+            reach=max((max(map(abs, x)) for x in hood), default=0),
+            fires=_FireMemo(tuple(sum(1 << i for i in r) for r in rule_indices)),
+            _hash=hash(self.rules))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return UpdateFamily, (self.rules, self.name)
 
     @staticmethod
     def of(rules: Iterable[Iterable[Site]], name: str = "") -> "UpdateFamily":
@@ -201,7 +243,7 @@ def stable_set(U: UpdateFamily) -> StableSet:
     into points and open gaps.  On each piece the offsets inside H_u stay
     the same, so one direction decides the whole piece.
     """
-    if not U.rules:
+    if not U.hood:
         raise EmptyFamilyError("stable set of an empty family")
     cuts = quasi_stable_set(U)
     n = len(cuts)
@@ -335,7 +377,7 @@ def difficulty_side(u: Direction, side: str, U: UpdateFamily, window: int = 8,
     u)."""
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    if not U.rules:
+    if not U.hood:
         raise EmptyFamilyError("difficulty of an empty family")
     if not is_stable(u, U):
         return DifficultyResult(0, window, frozenset(), 0)
@@ -633,10 +675,10 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Clas
 def quasi_stable_set(U: UpdateFamily) -> list[Direction]:
     """Perpendiculars of every rule site, both ways; adding them to the
     stable set lets droplets grow cleanly into their corners."""
-    if not U.rules:
+    if not U.hood:
         raise EmptyFamilyError("quasi-stable set of an empty family")
     out = set()
-    for x in _compile_family(U).hood:
+    for x in U.hood:
         d = Direction.of(x[0], x[1]).perp()
         out.add(d)
         out.add(d.neg())
@@ -690,7 +732,7 @@ def kappa(U: UpdateFamily, c: Classification, rho_hat: float) -> float:
 
 
 def difference_perpendiculars(U: UpdateFamily) -> list[Direction]:
-    pts = list(_compile_family(U).hood) + [(0, 0)]
+    pts = list(U.hood) + [(0, 0)]
     out = set()
     for i in range(len(pts)):
         for j in range(len(pts)):

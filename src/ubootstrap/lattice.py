@@ -1,25 +1,23 @@
 """Closure engines for bootstrap dynamics on finite boxes, tori and
 half-plane-assisted strips.
 
-Every engine reads a family in one compiled form (``_compile_family``): its
-neighbourhood N, the union of its rules, each rule as indices into N, and a
-memo from masks over N (which offsets of a site are infected) to whether
-some rule fires, filled lazily from the rules' own masks.
-``is_stable`` is one memo read; the frontier kernel ``_grow`` pays |N|
-lookups and one memo read per candidate site, however many rules the family
-has.  ``closure`` runs the kernel in a box with a blocked boundary, and
-``strip_scan``, the only engine next to an infected half-plane, runs it in
-the strip next to H_u, column window by column window, with
-``_column_width`` read off N.  ``sweep`` is the one synchronous numpy step:
-it updates a core of a grid padded by the reach of N (its largest |dx| or
-|dy|), one contiguous plane per offset of N, ANDed per rule; the torus wraps
-the padding, ``infection_time`` zero-pads it and ``sample_tau`` sweeps only
-the origin's light cone.  ``closure_rescan`` stays a naive full-rescan fixed
-point over the rules one by one, in a box or on a torus and optionally next
-to a half-plane, kept as the independent oracle for the kernel, the strip
-and the sweeps.  Closure is update-order independent by
-monotonicity, so the kernel and the sweeps must agree exactly; infection
-times are defined by the synchronous sweep.
+Every engine but the oracle reads the compiled form that ``UpdateFamily``
+builds once: N, each rule as indices into N, the reach of N (its largest
+|dx| or |dy|) and the lazy fire memo over masks of N.  ``is_stable`` is one
+memo read; the frontier kernel ``_grow`` pays |N| lookups and one memo read
+per candidate site, however many rules the family has.  ``closure`` runs the
+kernel in a box with a blocked boundary, and ``strip_scan``, the only engine
+next to an infected half-plane, runs it in the strip next to H_u, column
+window by column window, with ``_column_width`` read off N.  ``sweep`` is
+the one synchronous numpy step: it updates a core of a grid padded by the
+reach of N, one contiguous plane per offset of N, ANDed per rule; the torus
+wraps the padding, ``infection_time`` zero-pads it and ``sample_tau`` sweeps
+only the origin's light cone.  ``closure_rescan`` stays a naive full-rescan
+fixed point over the rules one by one, in a box or on a torus and optionally
+next to a half-plane, kept as the independent oracle for the kernel, the
+strip and the sweeps.  Closure is update-order independent by monotonicity,
+so the kernel and the sweeps must agree exactly; infection times are
+defined by the synchronous sweep.
 """
 
 from __future__ import annotations
@@ -85,57 +83,20 @@ class OriginOutsideWindowError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the compiled family and the frontier closure kernel
-
-
-class _FireMemo(dict):
-    """Mask over a neighbourhood -> whether it covers some rule's mask."""
-
-    def __init__(self, rule_masks: tuple[int, ...]):
-        super().__init__()
-        self.rule_masks = rule_masks
-
-    def __missing__(self, mask: int) -> bool:
-        fire = any(r & mask == r for r in self.rule_masks)
-        self[mask] = fire
-        return fire
-
-
-@dataclass(frozen=True)
-class _CompiledFamily:
-    """A family as its neighbourhood N, each rule as the indices of its
-    offsets in N, plus the fire memo: bit i of a mask stands for the offset
-    hood[i]; ``reach`` is the largest |dx| or |dy| over N."""
-
-    hood: tuple[Site, ...]
-    rule_indices: tuple[tuple[int, ...], ...]
-    fires: _FireMemo
-    reach: int
+# the frontier closure kernel
 
 
 @lru_cache(maxsize=256)
-def _compile_family(U) -> _CompiledFamily:
-    hood = tuple(sorted(set().union(*U.rules)))
-    index = {x: i for i, x in enumerate(hood)}
-    rule_indices = tuple(tuple(sorted(index[x] for x in rule)) for rule in U.rules)
-    return _CompiledFamily(hood, rule_indices,
-                           _FireMemo(tuple(sum(1 << i for i in r) for r in rule_indices)),
-                           max((max(map(abs, x)) for x in hood), default=0))
-
-
-@lru_cache(maxsize=256)
-def _kernel_hood(U, normals) -> tuple[tuple, _FireMemo]:
-    """_grow's view of U under the half-plane normal and the two band normals.
-    For each offset x of N: x with its three projections, the bit of x, and
-    every other offset of N as (bit, x, y, projection on the half-plane
-    normal) for building a candidate's mask; then the fire memo."""
+def _kernel_hood(U, normals) -> tuple:
+    """_grow's view of N under the half-plane normal and the two band
+    normals.  For each offset x of N: x with its three projections, the bit
+    of x, and every other offset of N as (bit, x, y, projection on the
+    half-plane normal) for building a candidate's mask."""
     (a, b), (a0, b0), (a1, b1) = normals
-    fam = _compile_family(U)
-    lifted = [(1 << i, ex, ey, a * ex + b * ey) for i, (ex, ey) in enumerate(fam.hood)]
-    hood = tuple((dx, dy, a * dx + b * dy, a0 * dx + b0 * dy, a1 * dx + b1 * dy, 1 << i,
+    lifted = [(1 << i, ex, ey, a * ex + b * ey) for i, (ex, ey) in enumerate(U.hood)]
+    return tuple((dx, dy, a * dx + b * dy, a0 * dx + b0 * dy, a1 * dx + b1 * dy, 1 << i,
                   tuple(lifted[:i] + lifted[i + 1:]))
-                 for i, (dx, dy) in enumerate(fam.hood))
-    return hood, fam.fires
+                 for i, (dx, dy) in enumerate(U.hood))
 
 
 def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int],
@@ -156,7 +117,7 @@ def _grow(inf: set[Site], sources: Iterable[Site], U, half: tuple[int, int, int]
     """
     a, b, off = half
     (a0, b0, lo0, hi0), (a1, b1, lo1, hi1) = bands
-    hood, fires = _kernel_hood(U, ((a, b), (a0, b0), (a1, b1)))
+    hood, fires = _kernel_hood(U, ((a, b), (a0, b0), (a1, b1))), U.fires
     frontier = list(sources)
     start = len(frontier)
     # the list grows while it is iterated: a FIFO queue without a deque
@@ -240,13 +201,12 @@ def sweep(g: np.ndarray, U, core: tuple[slice, slice]) -> np.ndarray:
     ``core`` is two slices with int bounds; shifted by the reach of N it must
     stay inside ``g``, or numpy would wrap a negative start silently."""
     (y0, y1), (x0, x1) = (core[0].start, core[0].stop), (core[1].start, core[1].stop)
-    fam = _compile_family(U)
-    R, (h, w) = fam.reach, g.shape
+    R, (h, w) = U.reach, g.shape
     if y0 < R or x0 < R or y1 + R > h or x1 + R > w:
         raise ValueError(f"core {core} shifted by reach {R} leaves the {h}x{w} grid")
-    planes = [np.ascontiguousarray(g[y0 + dy:y1 + dy, x0 + dx:x1 + dx]) for dx, dy in fam.hood]
+    planes = [np.ascontiguousarray(g[y0 + dy:y1 + dy, x0 + dx:x1 + dx]) for dx, dy in U.hood]
     newly = np.zeros((y1 - y0, x1 - x0), dtype=bool)
-    for first, *rest in fam.rule_indices:
+    for first, *rest in U.rule_indices:
         m = planes[first]
         for i in rest:
             m = m & planes[i]
@@ -257,7 +217,7 @@ def sweep(g: np.ndarray, U, core: tuple[slice, slice]) -> np.ndarray:
 
 def torus_closure_grid(grid: np.ndarray, U) -> np.ndarray:
     h, w = grid.shape
-    R = _compile_family(U).reach
+    R = U.reach
     iy, ix = np.arange(-R, h + R) % h, np.arange(-R, w + R) % w
     core = (slice(R, R + h), slice(R, R + w))
     g = grid.copy()
@@ -281,7 +241,7 @@ def infection_time(A: Iterable[Site], U, t_max: int, box: Box):
     responsibility, see the harness); the full-box oracle for ``sample_tau``."""
     if not box.contains((0, 0)):
         raise OriginOutsideWindowError("origin not inside the window")
-    R = _compile_family(U).reach
+    R = U.reach
     y0, x0 = box.y0 - R, box.x0 - R  # the zero padding's corner
     grid = np.zeros((box.y1 + R - y0, box.x1 + R - x0), dtype=bool)
     for x, y in A:
@@ -330,17 +290,15 @@ class StripScan:
 def is_stable(u: Direction, U) -> bool:
     """True iff no rule fits inside the open half-plane H_u: the mask of the
     offsets x of N with <u, x> < 0 fires no rule."""
-    fam = _compile_family(U)
-    return not fam.fires[sum(1 << i for i, x in enumerate(fam.hood) if u.dot(x) < 0)]
+    return not U.fires[sum(1 << i for i, x in enumerate(U.hood) if u.dot(x) < 0)]
 
 
-@lru_cache(maxsize=1024)
 def _column_width(u: Direction, U) -> Optional[int]:
     """The strip's column width for a stable u: twice the reach of N along
     the boundary line; None when u is unstable."""
     if not is_stable(u, U):
         return None
-    return 2 * max([1] + [abs(u.b * dx - u.a * dy) for dx, dy in _compile_family(U).hood])
+    return 2 * max([1] + [abs(u.b * dx - u.a * dy) for dx, dy in U.hood])
 
 
 def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:

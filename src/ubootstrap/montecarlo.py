@@ -13,12 +13,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .family import UpdateFamily, nu
-from .lattice import _compile_family, percolates_grid, sweep
+from .lattice import percolates_grid, sweep
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -65,9 +65,6 @@ class TauStats:
 # counter-based randomness
 
 
-MAX_RINGS = 64
-
-
 def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
     """Philox substream for one trial: order-independent across workers."""
     key = np.array([np.uint64(seed & (2 ** 64 - 1)),
@@ -80,31 +77,17 @@ def random_torus_grid(n: int, p: float, seed: int, trial: int) -> np.ndarray:
     return trial_rng(seed, trial).random((n, n)) < p
 
 
-def _ring_window_grid(r: int, r0: int, p: float, seed: int, trial: int) -> np.ndarray:
-    """p-random grid on the box [-r, r)^2 assembled from independent ring
-    substreams, so enlarging the window never resamples the interior."""
-    size = 2 * r
-    grid = np.zeros((size, size), dtype=bool)
-    rk = r0
-    ring = 0
-    while True:
-        draw = trial_rng(seed, trial, stream=ring + 1).random((2 * rk, 2 * rk)) < p
-        o = r - rk
-        if ring == 0:
-            grid[o:o + 2 * rk, o:o + 2 * rk] = draw
-        else:
-            prev = rk // 2
-            inner = rk - prev
-            block = grid[o:o + 2 * rk, o:o + 2 * rk]
-            keep = block[inner:inner + 2 * prev, inner:inner + 2 * prev].copy()
-            block[:, :] = draw
-            block[inner:inner + 2 * prev, inner:inner + 2 * prev] = keep
-        if rk == r:
-            return grid
-        rk *= 2
-        ring += 1
-        if ring > MAX_RINGS:
-            raise RuntimeError("window escalation ran away")
+def _ring_window_grid(inner: Optional[np.ndarray], r: int, ring: int, p: float, seed: int,
+                      trial: int) -> np.ndarray:
+    """p-random grid on the box [-r, r)^2: ring ``ring``'s substream drawn
+    at side 2r, with ``inner`` (the previous ring's grid, None for ring 0)
+    put back at the centre, so enlarging the window never resamples the
+    interior."""
+    grid = trial_rng(seed, trial, stream=ring + 1).random((2 * r, 2 * r)) < p
+    if inner is not None:
+        o = r - len(inner) // 2
+        grid[o:o + len(inner), o:o + len(inner)] = inner
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +190,11 @@ def estimate_pc(family: UpdateFamily, n: int, trials: int = 64, tol: float = 0.0
 
 def _tau_trial(arg):
     fam, p, seed, trial, t_max, r0, r_cap, nu_val = arg
-    R = _compile_family(fam).reach
-    r = r0
+    R = fam.reach
+    r, ring, drawn = r0, 0, None
     while True:
-        g = _ring_window_grid(r, r0, p, seed, trial)  # origin at g[r, r]
+        drawn = _ring_window_grid(drawn, r, ring, p, seed, trial)  # origin at [r, r]
+        g = drawn.copy()
         t_lim = int((r - 1) / nu_val)
         horizon = min(t_max, t_lim)
         if g[r, r]:
@@ -228,7 +212,7 @@ def _tau_trial(arg):
             return None  # exact timeout: the light cone covered the horizon
         if r >= r_cap:
             return None  # truncated horizon (documented window cap)
-        r *= 2
+        r, ring = 2 * r, ring + 1
 
 
 def effective_t_max(U: UpdateFamily, t_max: int, r_cap: int = 2048) -> int:

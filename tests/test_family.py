@@ -1,6 +1,11 @@
 import functools
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -119,6 +124,15 @@ class TestFamilyBasics:
         with pytest.raises(EmptyFamilyError):
             nu(UpdateFamily(rules=()))
 
+    def test_empty_family_compiles(self):
+        U = UpdateFamily(rules=())
+        assert U.hood == () and U.rule_indices == () and U.reach == 0
+        for fn in (stable_set, quasi_stable_set):
+            with pytest.raises(EmptyFamilyError):
+                fn(U)
+        with pytest.raises(EmptyFamilyError):
+            difficulty_side(E1, "plus", U)
+
     def test_rules_deduplicated(self):
         U = UpdateFamily.of([[(1, 0), (0, 1)], [(0, 1), (1, 0)]])
         assert len(U.rules) == 1
@@ -126,6 +140,31 @@ class TestFamilyBasics:
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
             UpdateFamily.of([[(0, 0), (1, 0)]])
+
+
+class TestCompiledFamily:
+    def test_hash_is_the_rules_hash(self):
+        gg = builtin("gg-two")
+        assert hash(gg) == hash(gg.rules)
+        renamed = UpdateFamily.of(gg.rules, name="renamed")
+        assert hash(renamed) == hash(gg) and renamed != gg
+
+    def test_pickle_carries_no_memo(self):
+        U = UpdateFamily.of(U2.rules, name="two-neighbour-pickled")
+        classify(U)
+        assert U.fires
+        V = pickle.loads(pickle.dumps(U))
+        assert V == U and hash(V) == hash(U) and not V.fires
+        assert (V.hood, V.rule_indices, V.reach) == (U.hood, U.rule_indices, U.reach)
+
+    def test_hash_is_the_same_in_every_process(self):
+        src = str(Path(family.__file__).resolve().parents[1])
+        code = 'from ubootstrap.families import builtin; print(hash(builtin("gg-two")))'
+        outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": src,
+                                                "PYTHONHASHSEED": seed}).stdout
+                for seed in ("1", "2")}
+        assert outs == {f"{hash(builtin('gg-two'))}\n"}
 
 
 class TestStability:

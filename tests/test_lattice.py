@@ -80,7 +80,7 @@ class TestClosure:
         box = Box(-h, -h, n - h, n - h)
         sites = {(x - h, y - h) for x, y in pts}
         want = closure_rescan(sites, box, fam)
-        R = lattice._compile_family(fam).reach
+        R = fam.reach
         g = np.pad(grid, R)
         core = (slice(R, R + n),) * 2
         steps, t_origin = 0, (0 if grid[h, h] else TIMEOUT)

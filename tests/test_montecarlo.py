@@ -33,6 +33,17 @@ def _families_within(r):
 RADIUS_3_FAMILIES = st.integers(1, 3).flatmap(_families_within).map(UpdateFamily.of)
 
 
+def _full_window(r, r0, p, seed, trial):
+    """The window of radius r that sample_tau reaches by doubling from r0:
+    one ring step per doubling, each keeping the previous grid inside."""
+    grid, rk, ring = None, r0, 0
+    while True:
+        grid = _ring_window_grid(grid, rk, ring, p, seed, trial)
+        if rk == r:
+            return grid
+        rk, ring = 2 * rk, ring + 1
+
+
 class TestRng:
     def test_substreams_differ(self):
         a = trial_rng(1, 0).random(8)
@@ -46,8 +57,8 @@ class TestRng:
 
     def test_ring_window_interior_consistency(self):
         # doubling the window never resamples the interior
-        small = _ring_window_grid(64, 64, 0.3, seed=9, trial=4)
-        big = _ring_window_grid(256, 64, 0.3, seed=9, trial=4)
+        small = _full_window(64, 64, 0.3, seed=9, trial=4)
+        big = _full_window(256, 64, 0.3, seed=9, trial=4)
         inner = big[256 - 64:256 + 64, 256 - 64:256 + 64]
         assert np.array_equal(small, inner)
 
@@ -147,7 +158,7 @@ class TestSampleTau:
         stats = sample_tau(U2, p, trials=12, t_max=t_max, seed=seed, r0=16)
         direct = []
         for trial in range(12):
-            big = _ring_window_grid(512, 16, p, seed, trial)
+            big = _full_window(512, 16, p, seed, trial)
             pts = {(x - 512, y - 512) for y, x in np.argwhere(big)}
             w = Box(-512, -512, 512, 512)
             t = infection_time(pts, U2, t_max, w)
@@ -169,7 +180,7 @@ class TestSampleTau:
         box = Box(-r_cap, -r_cap, r_cap, r_cap)
         direct = []
         for trial in range(trials):
-            big = _ring_window_grid(r_cap, r0, p, seed, trial)
+            big = _full_window(r_cap, r0, p, seed, trial)
             pts = {(x - r_cap, y - r_cap) for y, x in np.argwhere(big)}
             direct.append(infection_time(pts, fam, stats.t_max, box))
         assert stats.taus == tuple(sorted(t for t in direct if t is not TIMEOUT))

@@ -71,12 +71,12 @@ def _rules_readers(path: Path) -> set[str]:
 
 
 def test_engines_read_the_compiled_family():
-    # one function knows the rule format; closure_rescan stays per rule as
-    # the oracle
-    allowed = {"_compile_family", "closure_rescan"}
-    readers = {f"{name}: {reader}"
-               for name in ("lattice.py", "droplets.py", "montecarlo.py", "geometry.py")
-               for reader in _rules_readers(PACKAGE / name) - allowed}
+    # the constructor compiles the rules; nu and closure_rescan, the oracle,
+    # are the only other readers of the rule format
+    allowed = {"family.py": {"UpdateFamily", "nu"}, "lattice.py": {"closure_rescan"}}
+    readers = {f"{path.name}: {reader}"
+               for path in PACKAGE.glob("*.py")
+               for reader in _rules_readers(path) - allowed.get(path.name, set())}
     assert not readers, f"read U.rules outside the compiled family: {sorted(readers)}"
 
 
