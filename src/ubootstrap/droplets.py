@@ -103,6 +103,12 @@ class Droplet:
         if not _directions_bound_plane(self.directions):
             raise UnboundedDropletError(
                 "direction set misses an open semicircle; droplets are unbounded")
+        # the merge loop's dicts and caches hash a droplet many times, so
+        # the hash is taken once; the instance is frozen
+        self.__dict__["_hash"] = hash((self.directions, self.offsets))
+
+    def __hash__(self):
+        return self._hash
 
     def constraints(self) -> list[tuple[int, int, int]]:
         return [(u.a, u.b, o - 1) for u, o in zip(self.directions, self.offsets)]

@@ -81,6 +81,71 @@ class _FireMemo(dict):
         return fire
 
 
+class _CircuitTooLong(Exception):
+    """The Shannon expansion outgrew the rule-by-rule chain."""
+
+
+def _rule_circuit(rule_masks: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The monotone function "some rule mask is covered" as nodes (i, hi, lo)
+    in evaluation order, the last one the root.  A node is worth
+    lo | (x_i & hi); hi is an earlier node or None for true, lo an earlier
+    node or None for false.
+
+    This is the Shannon expansion on the lowest bit still in play, memoised
+    on the set of remaining masks and with equal nodes shared.  It is exact
+    because the function is monotone: the x_i = 0 cofactor implies the
+    x_i = 1 cofactor, so f = lo | (x_i & hi).  A node costs one AND unless
+    hi is true and one OR unless lo is false.  Once the expansion costs more
+    than sum |r| operations it is dropped for the rule-by-rule chain in the
+    same form, which costs sum |r| - 1, so the circuit is never longer than
+    the rules."""
+    budget = sum(m.bit_count() for m in rule_masks)
+    nodes: list[tuple] = []
+    shared: dict[tuple, int] = {}
+    memo: dict[frozenset, int] = {}
+    ops = 0
+
+    def node(i, hi, lo) -> int:
+        nonlocal ops
+        key = (i, hi, lo)
+        if key not in shared:
+            ops += (hi is not None) + (lo is not None)
+            if ops > budget:
+                raise _CircuitTooLong
+            shared[key] = len(nodes)
+            nodes.append(key)
+        return shared[key]
+
+    def expand(masks: frozenset) -> int:
+        if masks not in memo:
+            bit = min(m & -m for m in masks)
+            ones = frozenset(m & ~bit for m in masks)
+            zeros = frozenset(m for m in masks if not m & bit)
+            hi = None if 0 in ones else expand(ones)
+            lo = expand(zeros) if zeros else None
+            # None means true as hi and false as lo, so only two nodes can
+            # be equal; then x_i does not matter
+            memo[masks] = hi if hi is not None and hi == lo else node(bit.bit_length() - 1, hi, lo)
+        return memo[masks]
+
+    if not rule_masks:
+        return ()
+    try:
+        expand(frozenset(rule_masks))
+        return tuple(nodes)
+    except _CircuitTooLong:
+        chain, acc = [], None
+        for mask in rule_masks:
+            first, *rest = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            hi = None
+            for i in reversed(rest):
+                chain.append((i, hi, None))
+                hi = len(chain) - 1
+            chain.append((first, hi, acc))
+            acc = len(chain) - 1
+        return tuple(chain)
+
+
 @dataclass(frozen=True)
 class UpdateFamily:
     """A finite list of finite rules X subset of Z^2 minus the origin; a site
@@ -88,7 +153,8 @@ class UpdateFamily:
 
     The engines read the family in the compiled form built here, once:
     ``hood`` is its neighbourhood N (the union of the rules), sorted;
-    ``rule_indices`` holds each rule as the indices of its offsets in N;
+    ``circuit`` is the rule function over N as AND/OR nodes (i, hi, lo) on
+    the offsets' indices, never longer than the rules (``_rule_circuit``);
     ``reach`` is the largest |dx| or |dy| over N; and ``fires`` is a memo
     from masks over N (bit i stands for hood[i]: which offsets of a site
     are infected) to whether some rule fires, filled lazily from the rules'
@@ -104,13 +170,12 @@ class UpdateFamily:
     def __post_init__(self):
         hood = tuple(sorted(set().union(*self.rules)))
         index = {x: i for i, x in enumerate(hood)}
-        rule_indices = tuple(tuple(sorted(index[x] for x in rule)) for rule in self.rules)
+        masks = tuple(sum(1 << index[x] for x in rule) for rule in self.rules)
         # the instance is frozen, so the compiled fields go in past __setattr__
         self.__dict__.update(
-            hood=hood, rule_indices=rule_indices,
+            hood=hood, circuit=_rule_circuit(masks),
             reach=max((max(map(abs, x)) for x in hood), default=0),
-            fires=_FireMemo(tuple(sum(1 << i for i in r) for r in rule_indices)),
-            _hash=hash(self.rules))
+            fires=_FireMemo(masks), _hash=hash(self.rules))
 
     def __hash__(self):
         return self._hash

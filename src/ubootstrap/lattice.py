@@ -2,17 +2,19 @@
 half-plane-assisted strips.
 
 Every engine but the oracle reads the compiled form that ``UpdateFamily``
-builds once: N, each rule as indices into N, the reach of N (its largest
-|dx| or |dy|) and the lazy fire memo over masks of N.  ``is_stable`` is one
-memo read; the frontier kernel ``_grow`` pays |N| lookups and one memo read
-per candidate site, however many rules the family has.  ``closure`` runs the
-kernel in a box with a blocked boundary, and ``strip_scan``, the only engine
-next to an infected half-plane, runs it in the strip next to H_u, column
-window by column window, with ``_column_width`` read off N.  ``sweep`` is
-the one synchronous numpy step: it updates a core of a grid padded by the
-reach of N, one contiguous plane per offset of N, ANDed per rule; the torus
-wraps the padding, ``infection_time`` zero-pads it and ``sample_tau`` sweeps
-only the origin's light cone.  ``closure_rescan`` stays a naive full-rescan
+builds once: N, the rule function as an AND/OR circuit over N, the reach of
+N (its largest |dx| or |dy|) and the lazy fire memo over masks of N.
+``is_stable`` is one memo read; the frontier kernel ``_grow`` pays |N|
+lookups and one memo read per candidate site, however many rules the family
+has.  ``closure`` runs the kernel in a box with a blocked boundary, and
+``strip_scan``, the only engine next to an infected half-plane, runs it in
+the strip next to H_u, column window by column window, with
+``_column_width`` read off N.  ``sweep`` is the one synchronous numpy step:
+it updates a core of a grid padded by the reach of N, evaluating the
+circuit over one contiguous plane per offset of N.  The torus pads once and
+copies only its halo strips from the core after each sweep,
+``infection_time`` zero-pads and ``sample_tau`` sweeps only the origin's
+light cone.  ``closure_rescan`` stays a naive full-rescan
 fixed point over the rules one by one, in a box or on a torus and optionally
 next to a half-plane, kept as the independent oracle for the kernel, the
 strip and the sweeps.  Closure is update-order independent by monotonicity,
@@ -197,37 +199,59 @@ def closure_rescan(A: Iterable[Site], shape: Box | Torus, U,
 
 
 def sweep(g: np.ndarray, U, core: tuple[slice, slice]) -> np.ndarray:
-    """The cells of ``g[core]`` that the next synchronous step infects.
-    ``core`` is two slices with int bounds; shifted by the reach of N it must
-    stay inside ``g``, or numpy would wrap a negative start silently."""
+    """The cells of ``g[core]`` that the next synchronous step infects: the
+    family's circuit evaluated on one contiguous plane of ``g`` per offset
+    of N.  ``core`` is two slices with int bounds; shifted by the reach of N
+    it must stay inside ``g``, or numpy would wrap a negative start
+    silently."""
     (y0, y1), (x0, x1) = (core[0].start, core[0].stop), (core[1].start, core[1].stop)
     R, (h, w) = U.reach, g.shape
     if y0 < R or x0 < R or y1 + R > h or x1 + R > w:
         raise ValueError(f"core {core} shifted by reach {R} leaves the {h}x{w} grid")
+    if not U.circuit:
+        return np.zeros((y1 - y0, x1 - x0), dtype=bool)
     planes = [np.ascontiguousarray(g[y0 + dy:y1 + dy, x0 + dx:x1 + dx]) for dx, dy in U.hood]
-    newly = np.zeros((y1 - y0, x1 - x0), dtype=bool)
-    for first, *rest in U.rule_indices:
-        m = planes[first]
-        for i in rest:
-            m = m & planes[i]
-        newly |= m
-    newly &= ~g[core]
-    return newly
+    # a plane may be a view of g, so only fresh arrays are updated in place
+    vals = []
+    for i, hi, lo in U.circuit:
+        if hi is None:
+            v = planes[i] if lo is None else planes[i] | vals[lo]
+        else:
+            v = planes[i] & vals[hi]
+            if lo is not None:
+                v |= vals[lo]
+        vals.append(v)
+    return vals[-1] > g[core]  # fires and is not yet infected
 
 
 def torus_closure_grid(grid: np.ndarray, U) -> np.ndarray:
+    """The closure of ``grid`` on its torus.  The grid is padded by the reach
+    of N once; after each sweep only the halo strips are copied from the
+    core, rows first and then whole columns, so the corners wrap too.  A
+    torus narrower than the reach wraps more than once round, and is
+    re-wrapped whole."""
     h, w = grid.shape
     R = U.reach
     iy, ix = np.arange(-R, h + R) % h, np.arange(-R, w + R) % w
     core = (slice(R, R + h), slice(R, R + w))
-    g = grid.copy()
+    g = grid.take(iy, 0).take(ix, 1)
+    c = g[core]
     while True:
-        newly = sweep(g.take(iy, 0).take(ix, 1), U, core)
+        newly = sweep(g, U, core)
         if not newly.any():
-            return g
-        g |= newly
-        if g.all():
-            return g
+            break
+        c |= newly
+        if c.all():
+            break
+        if h < R or w < R:
+            g = c.take(iy, 0).take(ix, 1)
+            c = g[core]
+        else:
+            g[:R] = g[h:h + R]
+            g[R + h:] = g[R:2 * R]
+            g[:, :R] = g[:, w:w + R]
+            g[:, R + w:] = g[:, R:2 * R]
+    return c.copy()
 
 
 def percolates_grid(grid: np.ndarray, U) -> bool:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -46,6 +48,12 @@ class TestDroplet:
         assert d.sites() == {(x, y) for x in range(4) for y in range(3)}
         assert d.proj(E1) == 3.0
         assert d.proj(E2) == 2.0
+
+    def test_hash_taken_once_follows_equality(self):
+        d = minimal_droplet([(0, 0), (3, 2)], AXES)
+        twin = d.translate((1, 1)).translate((-1, -1))
+        assert twin == d and hash(twin) == hash(d) == hash((d.directions, d.offsets))
+        assert pickle.loads(pickle.dumps(d)) == d and len({d, twin, d.translate((1, 0))}) == 2
 
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedDropletError):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -34,7 +35,16 @@ from ubootstrap.family import (
     stable_set,
 )
 from ubootstrap.geometry import Direction, ccw_key, cross, direction_between, sort_directions
-from ubootstrap.lattice import Box, HalfPlane, StripVerdict, closure_rescan, strip_scan
+from ubootstrap.lattice import (
+    Box,
+    HalfPlane,
+    StripVerdict,
+    Torus,
+    closure_rescan,
+    strip_scan,
+    sweep,
+    torus_closure_grid,
+)
 
 U2 = builtin("two-neighbour")
 DUARTE = builtin("duarte")
@@ -126,7 +136,7 @@ class TestFamilyBasics:
 
     def test_empty_family_compiles(self):
         U = UpdateFamily(rules=())
-        assert U.hood == () and U.rule_indices == () and U.reach == 0
+        assert U.hood == () and U.circuit == () and U.reach == 0
         for fn in (stable_set, quasi_stable_set):
             with pytest.raises(EmptyFamilyError):
                 fn(U)
@@ -155,7 +165,7 @@ class TestCompiledFamily:
         assert U.fires
         V = pickle.loads(pickle.dumps(U))
         assert V == U and hash(V) == hash(U) and not V.fires
-        assert (V.hood, V.rule_indices, V.reach) == (U.hood, U.rule_indices, U.reach)
+        assert (V.hood, V.circuit, V.reach) == (U.hood, U.circuit, U.reach)
 
     def test_hash_is_the_same_in_every_process(self):
         src = str(Path(family.__file__).resolve().parents[1])
@@ -165,6 +175,70 @@ class TestCompiledFamily:
                                                 "PYTHONHASHSEED": seed}).stdout
                 for seed in ("1", "2")}
         assert outs == {f"{hash(builtin('gg-two'))}\n"}
+
+
+MOORE3 = sorted((x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0))
+# up to 12 rules of 1-4 sites from at most 12 of the 48 Moore-3 offsets, so
+# that every mask of N can be listed
+MOORE3_FAMILIES = st.lists(st.sampled_from(MOORE3), min_size=1, max_size=12, unique=True).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+                          min_size=1, max_size=12)).map(UpdateFamily.of)
+
+
+def circuit_ops(U):
+    """The ANDs and ORs of U's circuit: a node ANDs unless hi is true and
+    ORs unless lo is false."""
+    return sum((hi is not None) + (lo is not None) for _, hi, lo in U.circuit)
+
+
+def circuit_table(U) -> int:
+    """The circuit evaluated on every mask m of N at once, as the bits m of
+    an int: plane i has bit m set when m has bit i."""
+    full = 1 << (1 << len(U.hood))
+    planes = [sum(1 << m for m in range(1 << len(U.hood)) if m >> i & 1)
+              for i in range(len(U.hood))]
+    vals = []
+    for i, hi, lo in U.circuit:
+        v = planes[i] & (full - 1 if hi is None else vals[hi])
+        vals.append(v if lo is None else v | vals[lo])
+    return vals[-1]
+
+
+class TestCircuit:
+    @given(MOORE3_FAMILIES)
+    @settings(max_examples=80, deadline=None)
+    def test_circuit_is_the_rule_function(self, U):
+        masks = [sum(1 << U.hood.index(x) for x in rule) for rule in U.rules]
+        table = circuit_table(U)
+        for m in range(1 << len(U.hood)):
+            assert bool(table >> m & 1) == any(r & m == r for r in masks), m
+        assert circuit_ops(U) <= sum(map(len, U.rules))
+        # every node reads earlier nodes only, and the last is the root
+        assert all(k is None or k < n for n, (_, hi, lo) in enumerate(U.circuit) for k in (hi, lo))
+
+    def test_corpus_circuits_are_shorter_than_the_rules(self):
+        ops = [circuit_ops(builtin(name)) for name in ("gg-two", "two-neighbour", "duarte")]
+        assert ops == [31, 7, 4]
+
+    def test_disjoint_pairs_take_the_rule_chain(self):
+        # pairing hood[i] with hood[i + 12] makes the expansion branch on
+        # all twelve first members before any pair closes, about 2^12 nodes
+        hood = MOORE3[:24]
+        U = UpdateFamily.of([(hood[i], hood[i + 12]) for i in range(12)])
+        assert U.hood == tuple(hood)
+        assert len(U.circuit) == 24 and circuit_ops(U) == 23
+        for seed in range(6):
+            grid = np.random.default_rng(seed).random((9, 9)) < 0.35
+            pts = {(x, y) for y in range(9) for x in range(9) if grid[y, x]}
+            got = torus_closure_grid(grid, U)
+            assert {(x, y) for y in range(9) for x in range(9) if got[y, x]} == \
+                closure_rescan(pts, Torus(9), U)
+
+    def test_empty_family_sweeps_nothing(self):
+        U = UpdateFamily(rules=())
+        assert U.circuit == ()
+        newly = sweep(np.ones((4, 5), dtype=bool), U, (slice(1, 3), slice(0, 5)))
+        assert newly.shape == (2, 5) and not newly.any()
 
 
 class TestStability:

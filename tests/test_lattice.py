@@ -93,6 +93,29 @@ class TestClosure:
         assert (t_origin is not TIMEOUT) == ((0, 0) in want)
         assert infection_time(sites, fam, n * n, box) == t_origin
 
+    @given(st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_torus_halo_matches_rescan(self, R, data):
+        # the halo strips are copied from the core when the torus is at
+        # least the reach wide, and the grid is re-wrapped whole below that
+        within = [(x, y) for x in range(-R, R + 1) for y in range(-R, R + 1) if (x, y) != (0, 0)]
+        far = data.draw(st.sampled_from([s for s in within if max(map(abs, s)) == R]))
+        rules = data.draw(st.lists(st.lists(st.sampled_from(within), min_size=1, max_size=3),
+                                   min_size=1, max_size=4))
+        fam = UpdateFamily.of([rules[0] + [far]] + rules[1:])
+        assert fam.reach == R
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # every grid of the narrow torus, one random grid of each wider one
+        cells = (R - 1) ** 2
+        narrow = [np.array([bits >> k & 1 for k in range(cells)], dtype=bool).reshape(R - 1, R - 1)
+                  for bits in range(1 << cells)]
+        for grid in narrow + [rng.random((n, n)) < 0.3 for n in (R, R + 1, 2 * R)]:
+            n = len(grid)
+            pts = {(x, y) for y in range(n) for x in range(n) if grid[y, x]}
+            got = torus_closure_grid(grid, fam)
+            assert {(x, y) for y in range(n) for x in range(n) if got[y, x]} == \
+                closure_rescan(pts, Torus(n), fam), grid
+
     def test_sweep_rejects_a_core_without_padding(self):
         # the core shifted by the reach (1 for two-neighbour) must stay
         # inside the grid; numpy would wrap the negative bounds of the last

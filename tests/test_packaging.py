@@ -115,20 +115,24 @@ def test_one_halfplane_engine():
 
 
 def test_one_sweep_kernel():
-    # sweep is the only function that builds shifted planes; callers pad the
-    # grid instead of choosing a torus roll or a zero-fill shift
-    builders, shifters = set(), set()
+    # sweep is the only function that builds shifted planes and the only
+    # reader of the family's circuit; callers pad the grid instead of
+    # choosing a torus roll or a zero-fill shift
+    builders, readers, shifters = set(), set(), set()
     for path in PACKAGE.glob("*.py"):
+        assert "rule_indices" not in path.read_text(), path.name
         for top in ast.parse(path.read_text()).body:
             where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             mentions = _mentions(top)
             if mentions["ascontiguousarray"]:
                 builders.add(where)
+            if mentions["circuit"]:
+                readers.add(where)
             if (mentions.keys() & {"roll", "_roll", "_shift"}
                     or any(isinstance(n, (ast.arg, ast.keyword)) and n.arg == "torus"
                            for n in ast.walk(top))):
                 shifters.add(where)
-    assert builders == {"lattice.sweep"}
+    assert builders == readers == {"lattice.sweep"}
     assert not shifters, shifters
 
 
