@@ -12,7 +12,9 @@ pieces' union takes the elementwise maximum of their offsets, and a merge
 never enumerates sites.  Line indices are read off the mask's index planes.
 Merge conditions are decided exactly on lattice sites (strong connectivity
 in the kappa-disc graph); the translate-existence tests are Minkowski
-dilations, computed as integer-valued FFT convolutions on offset grids.
+dilations, computed as FFT convolutions of offset grids with numpy's FFT.
+Each entry of the convolution counts lattice points, an integer far below
+2^52, so thresholding it at 0.5 reads the dilation exactly.
 
 All three algorithms run one loop, ``_merge_loop``: steps in priority order,
 lowest index pair first, merging until no step applies.  Each test reads only
@@ -27,7 +29,6 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .geometry import Direction, Site, ccw_key, line_index, sort_directions
 from .lattice import Box, closure
@@ -150,6 +151,18 @@ def minimal_droplet(K: Iterable[Site], T: Sequence[Direction]) -> Droplet:
 # offset grids: boolean masks anchored to lattice coordinates
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 @dataclass
 class OGrid:
     arr: np.ndarray  # bool, indexed [y - y0, x - x0]
@@ -168,10 +181,14 @@ class OGrid:
         return OGrid(arr, x0, y0)
 
     def dilate(self, kernel: "OGrid") -> "OGrid":
-        # Minkowski sum via integer-valued convolution; counts are integers,
-        # so thresholding at 0.5 is exact despite the FFT round trip
-        conv = fftconvolve(self.arr.astype(np.float64), kernel.arr.astype(np.float64))
-        return OGrid(conv > 0.5, self.x0 + kernel.x0, self.y0 + kernel.y0)
+        # Minkowski sum via integer-valued convolution; the counts are
+        # integers far below 2^52, so thresholding at 0.5 is exact despite
+        # the FFT round trip.  Padding each axis to a 5-smooth length keeps
+        # the transforms off slow prime lengths.
+        shape = tuple(a + b - 1 for a, b in zip(self.arr.shape, kernel.arr.shape))
+        fast = tuple(map(_fft_length, shape))
+        conv = np.fft.irfft2(np.fft.rfft2(self.arr, fast) * np.fft.rfft2(kernel.arr, fast), fast)
+        return OGrid(conv[:shape[0], :shape[1]] > 0.5, self.x0 + kernel.x0, self.y0 + kernel.y0)
 
     def intersect(self, other: "OGrid") -> Optional["OGrid"]:
         x0 = max(self.x0, other.x0)

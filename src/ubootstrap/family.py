@@ -69,14 +69,20 @@ class NoDriftDirectionError(ValueError):
 
 
 class _FireMemo(dict):
-    """Mask over a neighbourhood -> whether it covers some rule's mask."""
+    """Mask over a neighbourhood -> whether some rule fires: the family's
+    circuit evaluated on the mask's bits."""
 
-    def __init__(self, rule_masks: tuple[int, ...]):
+    def __init__(self, circuit: tuple[tuple, ...]):
         super().__init__()
-        self.rule_masks = rule_masks
+        self.circuit = circuit
 
     def __missing__(self, mask: int) -> bool:
-        fire = any(r & mask == r for r in self.rule_masks)
+        vals = []
+        for i, hi, lo in self.circuit:
+            # lo | (x_i & hi), where hi None is true and lo None is false
+            vals.append(bool(mask >> i & 1 and (hi is None or vals[hi])
+                             or lo is not None and vals[lo]))
+        fire = bool(vals) and vals[-1]
         self[mask] = fire
         return fire
 
@@ -157,8 +163,8 @@ class UpdateFamily:
     the offsets' indices, never longer than the rules (``_rule_circuit``);
     ``reach`` is the largest |dx| or |dy| over N; and ``fires`` is a memo
     from masks over N (bit i stands for hood[i]: which offsets of a site
-    are infected) to whether some rule fires, filled lazily from the rules'
-    own masks.  N is empty exactly when there are no rules.  The hash is
+    are infected) to whether some rule fires, filled lazily from the
+    circuit.  N is empty exactly when there are no rules.  The hash is
     the rules' hash, taken once; the name stays out of it because
     hash(str) is salted per process.  A pickle carries the rules and the
     name only, never the memo.
@@ -170,12 +176,12 @@ class UpdateFamily:
     def __post_init__(self):
         hood = tuple(sorted(set().union(*self.rules)))
         index = {x: i for i, x in enumerate(hood)}
-        masks = tuple(sum(1 << index[x] for x in rule) for rule in self.rules)
+        circuit = _rule_circuit(tuple(sum(1 << index[x] for x in rule) for rule in self.rules))
         # the instance is frozen, so the compiled fields go in past __setattr__
         self.__dict__.update(
-            hood=hood, circuit=_rule_circuit(masks),
+            hood=hood, circuit=circuit,
             reach=max((max(map(abs, x)) for x in hood), default=0),
-            fires=_FireMemo(masks), _hash=hash(self.rules))
+            fires=_FireMemo(circuit), _hash=hash(self.rules))
 
     def __hash__(self):
         return self._hash

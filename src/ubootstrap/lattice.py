@@ -254,10 +254,6 @@ def torus_closure_grid(grid: np.ndarray, U) -> np.ndarray:
     return c.copy()
 
 
-def percolates_grid(grid: np.ndarray, U) -> bool:
-    return bool(torus_closure_grid(grid, U).all())
-
-
 def infection_time(A: Iterable[Site], U, t_max: int, box: Box):
     """Smallest t <= t_max with the origin in A_t under synchronous updates
     in ``box`` (blocked boundary), else TIMEOUT.  Exact on Z^2 whenever the

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .family import UpdateFamily, nu
-from .lattice import percolates_grid, sweep
+from .lattice import sweep, torus_closure_grid
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -113,7 +113,7 @@ def parallel_map(fn, args: Sequence) -> list:
 
 def _perc_trial(arg) -> bool:
     fam, n, p, seed, trial = arg
-    return percolates_grid(random_torus_grid(n, p, seed, trial), fam)
+    return bool(torus_closure_grid(random_torus_grid(n, p, seed, trial), fam).all())
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

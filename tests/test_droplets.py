@@ -110,6 +110,36 @@ def test_mask_matches_enumeration(p):
     assert droplets._piece_grid(p).sites() == want == p.sites()
 
 
+
+@st.composite
+def ogrids(draw):
+    """A random mask of 1-40 cells per side at a random anchor."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arr = rng.random((h, w)) < draw(st.sampled_from((0.05, 0.3, 0.9)))
+    return droplets.OGrid(arr, draw(st.integers(-20, 20)), draw(st.integers(-20, 20)))
+
+
+def _random_ogrid(h, w, seed):
+    return droplets.OGrid(np.random.default_rng(seed).random((h, w)) < 0.3, -seed, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ogrids(), ogrids())
+@example(_random_ogrid(20, 30, 1), _random_ogrid(18, 20, 2))  # full sum 37 x 49
+@example(_random_ogrid(1, 1, 3), _random_ogrid(13, 13, 4))
+def test_dilate_is_the_minkowski_sum(a, k):
+    # the OR of copies of a shifted by each site of k, in lattice coordinates
+    (ha, wa), (hk, wk) = a.arr.shape, k.arr.shape
+    fx, fy = a.x0 + k.x0, a.y0 + k.y0
+    frame = np.zeros((ha + hk - 1, wa + wk - 1), dtype=bool)
+    for x, y in k.sites():
+        frame[y + a.y0 - fy:y + a.y0 - fy + ha, x + a.x0 - fx:x + a.x0 - fx + wa] |= a.arr
+    ys, xs = np.nonzero(frame)
+    got = a.dilate(k)
+    assert got.arr.shape == frame.shape
+    assert got.sites() == set(zip((xs + fx).tolist(), (ys + fy).tolist()))
+
 class TestAlphaClusters:
     def test_far_sites_all_dust(self):
         K = [(0, 0), (10, 0), (0, 10)]

@@ -211,7 +211,7 @@ class TestCircuit:
         masks = [sum(1 << U.hood.index(x) for x in rule) for rule in U.rules]
         table = circuit_table(U)
         for m in range(1 << len(U.hood)):
-            assert bool(table >> m & 1) == any(r & m == r for r in masks), m
+            assert bool(table >> m & 1) == any(r & m == r for r in masks) == U.fires[m], m
         assert circuit_ops(U) <= sum(map(len, U.rules))
         # every node reads earlier nodes only, and the last is the root
         assert all(k is None or k < n for n, (_, hi, lo) in enumerate(U.circuit) for k in (hi, lo))

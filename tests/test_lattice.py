@@ -20,7 +20,6 @@ from ubootstrap.lattice import (
     closure_rescan,
     infection_time,
     is_stable,
-    percolates_grid,
     strip_scan,
     torus_closure_grid,
 )
@@ -186,16 +185,16 @@ class TestClosure:
 
 class TestPercolates:
     def test_full_and_empty(self):
-        assert percolates_grid(np.ones((6, 6), dtype=bool), U2)
-        assert not percolates_grid(np.zeros((6, 6), dtype=bool), U2)
+        assert torus_closure_grid(np.ones((6, 6), dtype=bool), U2).all()
+        assert not torus_closure_grid(np.zeros((6, 6), dtype=bool), U2).all()
 
     def test_diagonal_fills_torus(self):
-        assert percolates_grid(np.eye(8, dtype=bool), U2)
+        assert torus_closure_grid(np.eye(8, dtype=bool), U2).all()
 
     def test_single_site_does_not(self):
         grid = np.zeros((8, 8), dtype=bool)
         grid[3, 3] = True
-        assert not percolates_grid(grid, U2)
+        assert not torus_closure_grid(grid, U2).all()
 
 
 class TestInfectionTime:

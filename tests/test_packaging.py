@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from collections import Counter
@@ -27,13 +29,25 @@ def _top_level_imports(path: Path) -> set[str]:
 
 
 def test_third_party_imports_are_declared():
+    # and every declared dependency is imported, so none is installed unused
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in _project()["dependencies"]}
     imported = set()
     for path in PACKAGE.glob("*.py"):
         imported |= _top_level_imports(path)
     third_party = {m for m in imported
                    if m not in sys.stdlib_module_names and m not in ("__future__", "ubootstrap")}
-    assert third_party <= declared, f"imported but not declared: {third_party - declared}"
+    assert third_party == declared, (f"imported but not declared: {third_party - declared}; "
+                                     f"declared but not imported: {declared - third_party}")
+
+
+def test_importing_every_module_loads_no_scipy():
+    # the one geometric primitive scipy served, the dilation, runs on
+    # numpy's FFT; a fresh interpreter shows what the imports pull in
+    modules = sorted(f"ubootstrap.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    code = f"import sys\nfor m in {modules!r}: __import__(m)\nprint('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout == "False\n"
 
 
 def test_script_targets_resolve():
@@ -115,9 +129,9 @@ def test_one_halfplane_engine():
 
 
 def test_one_sweep_kernel():
-    # sweep is the only function that builds shifted planes and the only
-    # reader of the family's circuit; callers pad the grid instead of
-    # choosing a torus roll or a zero-fill shift
+    # sweep is the only function that builds shifted planes, and the only
+    # reader of the family's circuit besides the fire memo; callers pad the
+    # grid instead of choosing a torus roll or a zero-fill shift
     builders, readers, shifters = set(), set(), set()
     for path in PACKAGE.glob("*.py"):
         assert "rule_indices" not in path.read_text(), path.name
@@ -132,7 +146,10 @@ def test_one_sweep_kernel():
                     or any(isinstance(n, (ast.arg, ast.keyword)) and n.arg == "torus"
                            for n in ast.walk(top))):
                 shifters.add(where)
-    assert builders == readers == {"lattice.sweep"}
+    assert builders == {"lattice.sweep"}
+    # the constructor hands the circuit it builds to the fire memo, which
+    # evaluates it on one mask per miss
+    assert readers == {"lattice.sweep", "family.UpdateFamily", "family._FireMemo"}
     assert not shifters, shifters
 
 
