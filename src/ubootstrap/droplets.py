@@ -3,13 +3,16 @@
 definitional oracle that spanning is checked against.
 
 A droplet is the lattice restriction of a convex polygon cut out by
-half-planes with normals in a fixed direction set; an iceberg is the drift
-variant resting on an infected half-plane.  A piece is held as its mask: one
-boolean offset grid, rasterised from its constraints with numpy and cached
-per piece.  Every piece the algorithms build is tight (each offset is
-attained by one of its sites), so the smallest droplet or iceberg of two
-pieces' union takes the elementwise maximum of their offsets, and a merge
-never enumerates sites.  Line indices are read off the mask's index planes.
+half-planes with normals in a fixed direction set.  An iceberg, the drift
+variant resting on the infected half-plane H_u, is the droplet over
+(u0, u*, -u) whose -u face is pinned to the base line: offset 1, since
+line_index(x, -u) < 1 iff line_index(x, u) >= 0.  A piece is held as its
+mask: one boolean offset grid, rasterised from its constraints with numpy
+and cached per piece.  Every piece the algorithms build is tight (each
+offset is attained by one of its sites, the pinned face aside), so every
+merge, of droplets or of icebergs, takes the elementwise maximum of the
+parents' offsets and never enumerates sites.  Line indices are read off the
+mask's index planes.
 Merge conditions are decided exactly on lattice sites (strong connectivity
 in the kappa-disc graph); the translate-existence tests are Minkowski
 dilations, computed as FFT convolutions of offset grids with numpy's FFT.
@@ -24,7 +27,7 @@ the pieces it is given, so a pair that failed a step is never tested again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -181,6 +184,12 @@ class OGrid:
         return OGrid(arr, x0, y0)
 
     def dilate(self, kernel: "OGrid") -> "OGrid":
+        x0, y0 = self.x0 + kernel.x0, self.y0 + kernel.y0
+        # a one-cell operand translates the other (or empties it)
+        if kernel.arr.size == 1:
+            return OGrid(self.arr & kernel.arr[0, 0], x0, y0)
+        if self.arr.size == 1:
+            return OGrid(kernel.arr & self.arr[0, 0], x0, y0)
         # Minkowski sum via integer-valued convolution; the counts are
         # integers far below 2^52, so thresholding at 0.5 is exact despite
         # the FFT round trip.  Padding each axis to a 5-smooth length keeps
@@ -188,7 +197,7 @@ class OGrid:
         shape = tuple(a + b - 1 for a, b in zip(self.arr.shape, kernel.arr.shape))
         fast = tuple(map(_fft_length, shape))
         conv = np.fft.irfft2(np.fft.rfft2(self.arr, fast) * np.fft.rfft2(kernel.arr, fast), fast)
-        return OGrid(conv[:shape[0], :shape[1]] > 0.5, self.x0 + kernel.x0, self.y0 + kernel.y0)
+        return OGrid(conv[:shape[0], :shape[1]] > 0.5, x0, y0)
 
     def intersect(self, other: "OGrid") -> Optional["OGrid"]:
         x0 = max(self.x0, other.x0)
@@ -376,7 +385,7 @@ class MergeEvent:
     left: int
     right: int
     bridge: Optional[Site]
-    result: object  # Droplet or Iceberg
+    result: Droplet
 
 
 def _first_site(r: Optional[OGrid]) -> Optional[Site]:
@@ -451,10 +460,11 @@ def _bridge_kernel(kappa: float, d_hat) -> OGrid:
     return OGrid.from_sites(disc_offsets(kappa)).dilate(hat_neg)
 
 
-def _droplet_merge(a: Droplet, b: Droplet):
-    """Merge step: two tight droplets become the minimal droplet of their
-    union, whose offsets are the elementwise maxima."""
-    new = Droplet(a.directions, tuple(map(max, a.offsets, b.offsets)))
+def _merge(*parts: Droplet):
+    """Merge step: tight pieces of one kind over one direction list become
+    the smallest such piece of their union, whose offsets are the
+    elementwise maxima (an iceberg's pinned face stays at 1)."""
+    new = replace(parts[0], offsets=tuple(map(max, zip(*(p.offsets for p in parts)))))
     return new, new
 
 
@@ -487,7 +497,7 @@ def covering_algorithm(K: Iterable[Site], U, directions: Sequence[Direction],
         return _first_site(reach_of(a).intersect(reach_of(b)))
 
     seeds = [d_hat.translate(min(cl)) for cl in clusters]
-    live, log, ancestors = _merge_loop(seeds, [(bridge, _droplet_merge, True)],
+    live, log, ancestors = _merge_loop(seeds, [(bridge, _merge, True)],
                                        record=lambda d: d)
     return CoverResult(live, clusters, dust, log, ancestors, d_hat)
 
@@ -583,37 +593,17 @@ def is_internally_spanned(D: Droplet, A: Iterable[Site], U, kappa: float) -> boo
 # icebergs
 
 
-@dataclass(frozen=True)
-class Iceberg:
-    """Triangle (H_{u0}(a) ∩ H_{u*}(b)) minus H_u: faces perpendicular to u0
-    and u*, resting on the base half-plane boundary of u.  The triangle is
-    bounded only when u lies strictly between u0 and u*.  Like droplets,
-    the icebergs the algorithm builds are tight."""
-
-    u: Direction
-    u0: Direction
-    u_star: Direction
-    offset0: int
-    offset_star: int
-
-    def __post_init__(self):
-        if not _directions_bound_plane((self.u0, self.u_star, self.u.neg())):
-            raise UnboundedDropletError(
-                "base direction must lie strictly between u0 and u*; icebergs are unbounded")
-
-    def constraints(self) -> list[tuple[int, int, int]]:
-        return [
-            (self.u0.a, self.u0.b, self.offset0 - 1),
-            (self.u_star.a, self.u_star.b, self.offset_star - 1),
-            (-self.u.a, -self.u.b, 0),
-        ]
-
-    def sites(self) -> frozenset:
-        return _piece_grid(self).sites()
+class Iceberg(Droplet):
+    """Triangle (H_{u0}(a) ∩ H_{u*}(b)) minus H_u: the droplet over
+    directions (u0, u*, -u) with offsets (a, b, 1), whose -u face is pinned
+    to the base line of the half-plane H_u.  The triangle is bounded only
+    when u lies strictly between u0 and u*.  It never equals a droplet with
+    the same faces.  Like droplets, the icebergs the algorithm builds are
+    tight."""
 
     def __repr__(self):
-        return (f"Iceberg(u={self.u}, {self.u0}<{self.offset0}, "
-                f"{self.u_star}<{self.offset_star})")
+        (u0, u_star, neg_u), (o0, o_star, _) = self.directions, self.offsets
+        return f"Iceberg(u={neg_u.neg()}, {u0}<{o0}, {u_star}<{o_star})"
 
 
 def smallest_iceberg(X: Iterable[Site], u: Direction, u0: Direction,
@@ -622,11 +612,8 @@ def smallest_iceberg(X: Iterable[Site], u: Direction, u0: Direction,
     above = [s for s in X if line_index(s, u) >= 0]
     if not above:
         raise ValueError("set lies entirely in the half-plane")
-    return Iceberg(
-        u, u0, u_star,
-        1 + max(line_index(s, u0) for s in above),
-        1 + max(line_index(s, u_star) for s in above),
-    )
+    return Iceberg((u0, u_star, u.neg()),
+                   tuple(1 + max(line_index(s, v) for s in above) for v in (u0, u_star)) + (1,))
 
 
 @lru_cache(maxsize=None)
@@ -638,7 +625,7 @@ def _halfplane_distance_table(u: Direction, kappa: float) -> int:
 
 @dataclass
 class IcebergResult:
-    pieces: list[object]  # Droplet | Iceberg
+    pieces: list[Droplet]  # some of them Icebergs
     merge_log: list[MergeEvent]
     d_hat: Droplet
     step_counts: dict
@@ -655,7 +642,8 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
 
     Requires u strictly between u0 and u_star, so icebergs are finite.
     """
-    if not _directions_bound_plane((u0, u_star, u.neg())):
+    iceberg_dirs = (u0, u_star, u.neg())
+    if not _directions_bound_plane(iceberg_dirs):
         raise NotDriftFamilyError("base direction must lie strictly between u0 and u*")
     K = sorted(set(K))
     if any(line_index(s, u) < 0 for s in K):
@@ -689,7 +677,7 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
 
     def to_plane(p):
         # step 1: a droplet joinable to the half-plane through one translate
-        if not isinstance(p, Droplet):
+        if isinstance(p, Iceberg):
             return None
         touches, _, _, r = info(p)
         return True if touches else near_half(r)
@@ -714,7 +702,7 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
 
     def droplet_pair(a, b):
         # step 3: two droplets joinable without the plane
-        if not (isinstance(a, Droplet) and isinstance(b, Droplet)):
+        if isinstance(a, Iceberg) or isinstance(b, Iceberg):
             return None
         _, _, da, ra = info(a)
         _, gb, _, rb = info(b)
@@ -722,22 +710,20 @@ def iceberg_algorithm(K: Iterable[Site], u: Direction, u0: Direction,
             return True
         return _first_site(ra.intersect(rb))
 
-    def iceberg_offsets(p) -> tuple[int, int]:
-        # a tight iceberg's own offsets; for a droplet, those of its sites
-        # in u >= 0
+    def as_iceberg(p) -> Iceberg:
+        # a droplet's smallest iceberg: the offsets of its sites in u >= 0
         if isinstance(p, Iceberg):
-            return p.offset0, p.offset_star
+            return p
         g = _piece_grid(p)
         above = g.arr & (g.index_plane(u) >= 0)
-        return 1 + int(g.index_plane(u0)[above].max()), 1 + int(g.index_plane(u_star)[above].max())
+        return Iceberg(iceberg_dirs, tuple(1 + int(g.index_plane(v)[above].max())
+                                           for v in (u0, u_star)) + (1,))
 
     def iceberg_of(*parts):
-        o0, o_star = zip(*map(iceberg_offsets, parts))
-        new = Iceberg(u, u0, u_star, max(o0), max(o_star))
-        return new, new
+        return _merge(*map(as_iceberg, parts))
 
     steps = [(to_plane, iceberg_of, False), (with_plane, iceberg_of, True),
-             (droplet_pair, _droplet_merge, True)]
+             (droplet_pair, _merge, True)]
     pieces, log, _ = _merge_loop([d_hat.translate(s) for s in K], steps)
     counts = {1: 0, 2: 0, 3: 0}
     for e in log:

@@ -91,7 +91,7 @@ def pieces(draw):
             offsets = draw(st.lists(st.integers(-3, 8), min_size=len(dirs), max_size=len(dirs)))
             return Droplet(tuple(dirs), tuple(offsets))
         u0, u_star, u = draw(st.lists(st.sampled_from(SMALL_DIRS), min_size=3, max_size=3, unique=True))
-        return Iceberg(u, u0, u_star, draw(st.integers(-3, 4)), draw(st.integers(-3, 4)))
+        return Iceberg((u0, u_star, u.neg()), (draw(st.integers(-3, 4)), draw(st.integers(-3, 4)), 1))
     except UnboundedDropletError:
         assume(False)
 
@@ -128,6 +128,9 @@ def _random_ogrid(h, w, seed):
 @given(ogrids(), ogrids())
 @example(_random_ogrid(20, 30, 1), _random_ogrid(18, 20, 2))  # full sum 37 x 49
 @example(_random_ogrid(1, 1, 3), _random_ogrid(13, 13, 4))
+@example(droplets.OGrid(np.ones((1, 1), dtype=bool), 3, -2), _random_ogrid(13, 13, 4))
+@example(_random_ogrid(20, 30, 1), droplets.OGrid(np.ones((1, 1), dtype=bool), -5, 7))
+@example(_random_ogrid(18, 20, 2), droplets.OGrid(np.zeros((1, 1), dtype=bool), 1, 1))
 def test_dilate_is_the_minkowski_sum(a, k):
     # the OR of copies of a shifted by each site of k, in lattice coordinates
     (ha, wa), (hk, wk) = a.arr.shape, k.arr.shape
@@ -389,6 +392,18 @@ class TestIceberg:
         with pytest.raises(NotDriftFamilyError):
             iceberg_algorithm([(0, 3), (20, 5)], E1, u0, u_star, DUARTE, kap)
 
+    def test_iceberg_is_a_pinned_droplet(self):
+        _, u, u0, u_star, kap = duarte_drift_context()
+        (J,) = iceberg_algorithm([(0, 3)], u, u0, u_star, DUARTE, kap).pieces
+        # the pieces digest of the benchmark hashes this repr
+        assert repr(J) == "Iceberg(u=(-1,8), (-1,2)<61, (0,1)<22)"
+        assert J.directions == (u0, u_star, u.neg()) and J.offsets[2] == 1
+        twin = Droplet(J.directions, J.offsets)
+        assert J != twin and twin != J and len({J, twin}) == 2
+        assert twin.sites() == J.sites()
+        back = pickle.loads(pickle.dumps(J))
+        assert type(back) is Iceberg and back == J and hash(back) == hash(J)
+
     def test_empty_input(self):
         _, u, u0, u_star, kap = duarte_drift_context()
         res = iceberg_algorithm([], u, u0, u_star, DUARTE, kap)
@@ -402,7 +417,7 @@ class TestIceberg:
         res = iceberg_algorithm([s], u, u0, u_star, DUARTE, kap)
         assert res.d_hat == d_hat
         assert len(res.pieces) == 1
-        assert isinstance(res.pieces[0], type(d_hat))
+        assert type(res.pieces[0]) is Droplet
         assert res.merge_log == []
 
     def test_near_site_becomes_iceberg(self):
@@ -425,7 +440,7 @@ class TestIceberg:
         _, u, u0, u_star, kap = duarte_drift_context()
         res = iceberg_algorithm(iceberg_input(0), u, u0, u_star, DUARTE, kap)
         assert all(res.step_counts.values())
-        drops = [p for p in res.pieces if isinstance(p, Droplet)]
+        drops = [p for p in res.pieces if not isinstance(p, Iceberg)]
         assert len(drops) >= 2
         # no droplet is left within kappa of H_u, and no two droplets are
         # kappa-connected
@@ -539,7 +554,8 @@ class TestMergeByOffsets:
             def checked(oracle, merge):
                 def run_merge(*parents):
                     new, result = merge(*parents)
-                    assert new == oracle(frozenset().union(*(p.sites() for p in parents)))
+                    want = oracle(frozenset().union(*(p.sites() for p in parents)))
+                    assert new == want, f"merged to {new}, not {want}"
                     merged.append(new)
                     return new, result
                 return run_merge
@@ -551,6 +567,13 @@ class TestMergeByOffsets:
             res = run()
         assert len(merged) == len(res.merge_log)
         return res
+
+    def test_merge_keeping_a_parent_is_caught(self, monkeypatch):
+        # a merge that keeps its first parent's offsets must fail the check
+        monkeypatch.setattr(droplets, "_merge", lambda *parts: (parts[0], parts[0]))
+        for test in (self.test_covering_merges, self.test_iceberg_merges):
+            with pytest.raises(AssertionError, match="merged to"):
+                test(monkeypatch)
 
     def test_covering_merges(self, monkeypatch):
         cls = classify(U2)

@@ -174,8 +174,21 @@ def test_one_piece_representation():
                         isinstance(n, ast.Attribute) and n.attr == "sites"
                         for arg in call.args for n in ast.walk(arg)):
                     rebuilders.add(where)
-    assert callers <= set(ORACLES) | {"Droplet.sites", "Iceberg.sites"}, callers
+    assert callers <= set(ORACLES) | {"Droplet.sites"}, callers
     assert not rebuilders, rebuilders
+
+
+def test_an_iceberg_is_a_droplet():
+    # the iceberg inherits the droplet's fields, checks, constraints and
+    # sites, and differs only in how it prints
+    tree = ast.parse((PACKAGE / "droplets.py").read_text())
+    (iceberg,) = [top for top in tree.body
+                  if isinstance(top, ast.ClassDef) and top.name == "Iceberg"]
+    assert [ast.unparse(base) for base in iceberg.bases] == ["Droplet"]
+    assert not iceberg.decorator_list
+    methods = [getattr(node, "name", ast.unparse(node)) for node in iceberg.body
+               if not isinstance(node, ast.Expr)]
+    assert methods == ["__repr__"], methods
 
 
 # Names that nothing in src/ or perfbench/ calls, kept because a test uses
