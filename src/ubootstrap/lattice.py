@@ -11,8 +11,10 @@ has.  ``closure`` runs the kernel in a box with a blocked boundary, and
 the strip next to H_u, column window by column window, with
 ``_column_width`` read off N.  ``sweep`` is the one synchronous numpy step:
 it updates a core of a grid padded by the reach of N, evaluating the
-circuit over one contiguous plane per offset of N.  The torus pads once and
-copies only its halo strips from the core after each sweep,
+circuit over one contiguous plane per offset of N.  A grid of unsigned
+integers packs one trial per bit (bit j of every cell is trial j's field),
+and the circuit's ANDs and ORs step every trial in one pass.  The torus pads
+once and copies only its halo strips from the core after each sweep,
 ``infection_time`` zero-pads and ``sample_tau`` sweeps only the origin's
 light cone.  ``closure_rescan`` stays a naive full-rescan
 fixed point over the rules one by one, in a box or on a torus and optionally
@@ -203,13 +205,17 @@ def sweep(g: np.ndarray, U, core: tuple[slice, slice]) -> np.ndarray:
     family's circuit evaluated on one contiguous plane of ``g`` per offset
     of N.  ``core`` is two slices with int bounds; shifted by the reach of N
     it must stay inside ``g``, or numpy would wrap a negative start
-    silently."""
+    silently.
+
+    ``g`` is bool, or unsigned integers whose bit j in every cell is trial
+    j's field: the circuit is ANDs and ORs, so one pass steps every bit at
+    once, and the result has ``g``'s dtype."""
     (y0, y1), (x0, x1) = (core[0].start, core[0].stop), (core[1].start, core[1].stop)
     R, (h, w) = U.reach, g.shape
     if y0 < R or x0 < R or y1 + R > h or x1 + R > w:
         raise ValueError(f"core {core} shifted by reach {R} leaves the {h}x{w} grid")
     if not U.circuit:
-        return np.zeros((y1 - y0, x1 - x0), dtype=bool)
+        return np.zeros((y1 - y0, x1 - x0), dtype=g.dtype)
     planes = [np.ascontiguousarray(g[y0 + dy:y1 + dy, x0 + dx:x1 + dx]) for dx, dy in U.hood]
     # a plane may be a view of g, so only fresh arrays are updated in place
     vals = []
@@ -221,27 +227,32 @@ def sweep(g: np.ndarray, U, core: tuple[slice, slice]) -> np.ndarray:
             if lo is not None:
                 v |= vals[lo]
         vals.append(v)
-    return vals[-1] > g[core]  # fires and is not yet infected
+    return vals[-1] & ~g[core]  # fires and is not yet infected
 
 
 def torus_closure_grid(grid: np.ndarray, U) -> np.ndarray:
-    """The closure of ``grid`` on its torus.  The grid is padded by the reach
-    of N once; after each sweep only the halo strips are copied from the
-    core, rows first and then whole columns, so the corners wrap too.  A
-    torus narrower than the reach wraps more than once round, and is
-    re-wrapped whole."""
+    """The closure of ``grid`` on its torus, bit by bit: bit j of an
+    unsigned-integer grid is trial j's field and closes on its own, so one
+    closure serves every trial packed in the grid.  The grid is padded by
+    the reach of N once; after each sweep only the halo strips are copied
+    from the core, rows first and then whole columns, so the corners wrap
+    too.  A torus narrower than the reach wraps more than once round, and
+    is re-wrapped whole.  The loop stops when no bit changes, or when every
+    trial that started with an infected cell has filled: the AND over the
+    core equals the OR over the initial core."""
     h, w = grid.shape
     R = U.reach
     iy, ix = np.arange(-R, h + R) % h, np.arange(-R, w + R) % w
     core = (slice(R, R + h), slice(R, R + w))
     g = grid.take(iy, 0).take(ix, 1)
     c = g[core]
+    full = np.bitwise_or.reduce(c, axis=None)
     while True:
         newly = sweep(g, U, core)
         if not newly.any():
             break
         c |= newly
-        if c.all():
+        if np.bitwise_and.reduce(c, axis=None) == full:
             break
         if h < R or w < R:
             g = c.take(iy, 0).take(ix, 1)

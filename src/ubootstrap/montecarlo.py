@@ -3,7 +3,9 @@ infection-time sampling on light-cone-exact windows.
 
 Every trial draws from its own counter-based substream (Philox keyed by seed
 and trial index), and aggregation reduces in trial order, so results are
-byte-identical no matter how many workers run (UBP_THREADS).
+byte-identical no matter how many workers run (UBP_THREADS).  The p_c trials
+of a batch are split into one contiguous chunk per worker, and a chunk's
+tori close together as one grid in which bit j is trial j's field.
 """
 
 from __future__ import annotations
@@ -111,9 +113,19 @@ def parallel_map(fn, args: Sequence) -> list:
         return list(pool.map(fn, args, chunksize=max(1, len(args) // (4 * workers))))
 
 
-def _perc_trial(arg) -> bool:
-    fam, n, p, seed, trial = arg
-    return bool(torus_closure_grid(random_torus_grid(n, p, seed, trial), fam).all())
+def _perc_trials(arg) -> list[bool]:
+    """Whether each trial's p-random torus fills.  Trial j's field is bit j
+    of one grid of the smallest unsigned dtype that holds the chunk, and one
+    closure serves them all; trial j fills iff bit j of the AND over the
+    closure is set."""
+    fam, n, p, seed, trials = arg
+    dt = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+              if np.iinfo(t).bits >= len(trials))
+    grid = np.zeros((n, n), dtype=dt)
+    for j, t in enumerate(trials):
+        grid |= random_torus_grid(n, p, seed, t).astype(dt) << j
+    filled = int(np.bitwise_and.reduce(torus_closure_grid(grid, fam), axis=None))
+    return [bool(filled >> j & 1) for j in range(len(trials))]
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -132,18 +144,18 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 def _perc_fraction_batched(fam, n, p, seed, eval_idx, trials, pool, batch=32):
     """Sequential batches with a deterministic early stop once the Wilson
-    interval separates from one half.  The trials run on ``pool`` (in this
-    process when it is None)."""
+    interval separates from one half.  A batch runs on ``pool`` as one
+    contiguous chunk of trials per worker (in this process, as one chunk,
+    when it is None), and the verdicts are counted in trial order."""
     done = 0
     succ = 0
     while done < trials:
         take = min(batch, trials - done)
-        args = [(fam, n, p, seed, (eval_idx << 24) | (done + i)) for i in range(take)]
-        if pool is None:
-            results = map(_perc_trial, args)
-        else:
-            results = pool.map(_perc_trial, args, chunksize=max(1, take // (4 * worker_count())))
-        succ += sum(bool(r) for r in results)
+        ids = [(eval_idx << 24) | (done + i) for i in range(take)]
+        chunks = np.array_split(ids, 1 if pool is None else worker_count())
+        args = [(fam, n, p, seed, c.tolist()) for c in chunks if c.size]
+        results = map(_perc_trials, args) if pool is None else pool.map(_perc_trials, args)
+        succ += sum(r for chunk in results for r in chunk)
         done += take
         lo, hi = wilson_interval(succ, done)
         if done >= 2 * batch and (hi < 0.5 or lo > 0.5):
@@ -155,7 +167,10 @@ def estimate_pc(family: UpdateFamily, n: int, trials: int = 64, tol: float = 0.0
                 seed: int = 0, max_evals: int = 40) -> PcEstimate:
     """Bisection for the density where the percolation probability crosses
     one half; the true curve is monotone in p, which justifies bisection.
-    One worker pool serves every evaluation of the call."""
+    One worker pool serves every evaluation of the call.  Each batch of 32
+    trials runs as one chunk per worker, and each chunk closes its tori
+    together, bit j of one grid being trial j; every trial keeps its own
+    substream, so the estimate is identical for any worker count."""
     if n < 1:
         raise ValueError("torus size must be positive")
     if trials < 1:

@@ -127,6 +127,14 @@ class TestClosure:
                 lattice.sweep(g, U2, core)
         assert lattice.sweep(g, U2, (slice(1, 7), slice(1, 7))).shape == (6, 6)
 
+    def test_sweep_keeps_the_grid_dtype(self):
+        # a grid of unsigned integers packs one trial per bit, so the new
+        # cells come back in the grid's dtype, with no rules too
+        for dt in (bool, np.uint8, np.uint16, np.uint64):
+            g = np.zeros((8, 8), dtype=dt)
+            assert lattice.sweep(g, U2, (slice(1, 7),) * 2).dtype == dt
+            assert lattice.sweep(g, UpdateFamily.of([]), (slice(0, 8),) * 2).dtype == dt
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_rescan_oracle_on_random_families(self, data):

@@ -11,7 +11,8 @@ from ubootstrap.families import builtin
 from ubootstrap.family import UpdateFamily
 from ubootstrap.lattice import TIMEOUT, Box, Torus, closure_rescan, infection_time, torus_closure_grid
 from ubootstrap.montecarlo import (
-    _perc_trial,
+    PcEstimate,
+    _perc_trials,
     _ring_window_grid,
     estimate_pc,
     sample_tau,
@@ -44,6 +45,22 @@ def _full_window(r, r0, p, seed, trial):
         rk, ring = 2 * rk, ring + 1
 
 
+def assert_stacked_closure(fields, fam):
+    """Close ``fields`` stacked one per bit of the smallest unsigned dtype
+    that holds them, check each bit against the field's own closure, and
+    return the per-field closures."""
+    dt = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= len(fields))
+    stacked = np.zeros(fields[0].shape, dtype=dt)
+    for j, f in enumerate(fields):
+        stacked |= f.astype(dt) << j
+    closed = torus_closure_grid(stacked, fam)
+    assert closed.dtype == dt
+    alone = [torus_closure_grid(f, fam) for f in fields]
+    for j, want in enumerate(alone):
+        assert np.array_equal((closed >> j & 1).astype(bool), want), j
+    return alone
+
+
 class TestRng:
     def test_substreams_differ(self):
         a = trial_rng(1, 0).random(8)
@@ -64,29 +81,31 @@ class TestRng:
 
 
 class TestPercolationProbability:
-    """The p_c trial: one p-random torus, percolating or not."""
+    """The p_c trials: p-random tori, percolating or not, closed together
+    one bit per trial."""
 
     def test_p_one(self):
-        assert all(_perc_trial((U2, 16, 1.0, 1, t)) for t in range(20))
+        assert all(_perc_trials((U2, 16, 1.0, 1, list(range(20)))))
 
     def test_p_zero(self):
-        assert not any(_perc_trial((U2, 16, 0.0, 1, t)) for t in range(20))
+        assert not any(_perc_trials((U2, 16, 0.0, 1, list(range(20)))))
 
     def test_well_above_threshold(self):
-        succ = sum(_perc_trial((U2, 64, 0.2, 3, t)) for t in range(60))
+        succ = sum(_perc_trials((U2, 64, 0.2, 3, list(range(60)))))
         lo, hi = wilson_interval(succ, 60)
         assert succ / 60 > 0.9
         assert lo <= succ / 60 <= hi
 
     def test_matches_naive_simulator(self):
         # independent check, trial by trial: tiny torus, rescan closure on
-        # python sets
+        # python sets; the trials close in one chunk and in chunks of one
         n, p, seed = 8, 0.25, 11
+        stacked = _perc_trials((U2, n, p, seed, list(range(40))))
         for t in range(40):
             grid = trial_rng(seed, t).random((n, n)) < p
             pts = {(x, y) for y in range(n) for x in range(n) if grid[y, x]}
             closed = closure_rescan(pts, Torus(n), U2)
-            assert _perc_trial((U2, n, p, seed, t)) == (len(closed) == n * n), t
+            assert stacked[t] == _perc_trials((U2, n, p, seed, [t]))[0] == (len(closed) == n * n), t
 
     @given(RADIUS_3_FAMILIES, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -95,6 +114,25 @@ class TestPercolationProbability:
         grid = np.random.default_rng(seed).random((n, n)) < 0.3
         cells = lambda g: {(x, y) for y in range(n) for x in range(n) if g[y, x]}
         assert cells(torus_closure_grid(grid, fam)) == closure_rescan(cells(grid), Torus(n), fam)
+
+    @given(RADIUS_3_FAMILIES, st.integers(1, 11), st.sampled_from([1, 7, 8, 9, 16, 17, 32, 33, 64]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_closure_matches_each_trial(self, fam, n, k, seed):
+        # bit j of the closure of k fields stacked one per bit is the
+        # closure of field j alone, the torus narrower than the reach too;
+        # densities spread from empty to full, so some fields fill and some
+        # stall
+        rng = np.random.default_rng(seed)
+        fields = [rng.random((n, n)) < q for q in rng.random(k)]
+        assert_stacked_closure(fields, fam)
+
+    def test_stacked_closure_mixes_empty_full_filling_and_stalling(self):
+        stall = np.zeros((8, 8), dtype=bool)
+        stall[3, 4] = True
+        fields = [np.zeros((8, 8), dtype=bool), np.ones((8, 8), dtype=bool), np.eye(8, dtype=bool), stall]
+        got = assert_stacked_closure(fields, U2)
+        assert [got[j].sum() for j in range(4)] == [0, 64, 64, 1]
 
 
 class TestEstimatePc:
@@ -117,20 +155,19 @@ class TestEstimatePc:
 
     def test_deterministic_across_workers(self):
         # one pool per call runs the same trials in the same batches as the
-        # serial path, and no worker outlives the call
-        old = os.environ.get("UBP_THREADS")
-        try:
-            os.environ["UBP_THREADS"] = "1"
-            a = estimate_pc(U2, 24, trials=64, tol=0.02, seed=6)
-            os.environ["UBP_THREADS"] = "2"
-            b = estimate_pc(U2, 24, trials=64, tol=0.02, seed=6)
-        finally:
-            if old is None:
-                os.environ.pop("UBP_THREADS", None)
-            else:
-                os.environ["UBP_THREADS"] = old
-        assert a == b
+        # serial path, split into one chunk per worker (11/11/10 for three),
+        # and no worker outlives the call
+        runs = []
+        for workers in ("1", "2", "3"):
+            with mock.patch.dict(os.environ, {"UBP_THREADS": workers}):
+                runs.append(estimate_pc(U2, 24, trials=64, tol=0.02, seed=6))
+        assert runs[0] == runs[1] == runs[2]
         assert multiprocessing.active_children() == []
+        # the estimate read before the trials were closed one bit per trial
+        assert runs[0] == PcEstimate(
+            n=24, p_hat=0.0859375, bracket_low=0.078125, bracket_high=0.09375, trials_used=384,
+            evaluations=((0.5, 64, 64), (0.25, 64, 64), (0.125, 64, 64), (0.0625, 8, 64),
+                         (0.09375, 39, 64), (0.078125, 26, 64)))
 
 
 class TestSampleTau:

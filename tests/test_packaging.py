@@ -153,6 +153,22 @@ def test_one_sweep_kernel():
     assert not shifters, shifters
 
 
+def test_one_closure_for_every_trial():
+    # the p_c trials of a chunk close together, one bit per trial, through
+    # the one torus closure: no per-trial path is left, and the kernel
+    # steps bool and packed grids alike, with no branch on the dtype
+    assert not hasattr(importlib.import_module("ubootstrap.montecarlo"), "_perc_trial")
+    tree = ast.parse((PACKAGE / "montecarlo.py").read_text())
+    callers = {getattr(top, "name", "<module>") for top in tree.body
+               if _mentions(top)["torus_closure_grid"]}
+    assert callers == {"_perc_trials"}
+    typing = {"dtype", "kind", "itemsize", "bool_", "issubdtype", "can_cast"}
+    for node in ast.walk(ast.parse((PACKAGE / "lattice.py").read_text())):
+        if isinstance(node, ast.Compare) or (isinstance(node, ast.Call) and _mentions(node.func).keys()
+                                             & {"isinstance", "issubdtype", "can_cast"}):
+            assert not _mentions(node).keys() & typing, ast.unparse(node)
+
+
 def test_one_piece_representation():
     # a droplet or iceberg is its mask: in droplets.py only the sites
     # methods and the test oracles list a piece's lattice points, and no
