@@ -347,6 +347,8 @@ class DifficultyResult:
     boundary-first order), or INFINITE_WITHIN_WINDOW: a lower-bound verdict
     meaning no witness of cardinality up to searched_cardinality exists
     inside the search box, not a proof that the difficulty is infinite.
+    ``difficulty`` fills plus and minus with the two side results, which
+    have no sides of their own; the direction resolves when both do.
     """
 
     value: object
@@ -402,11 +404,11 @@ def _canonical_witnesses(u: Direction, window: int, k: int):
 
 
 class _SideSearch:
-    """Both side searches of one (U, u, window), deepened on demand.  Each
-    candidate gets one strip scan, which decides both sides.  Every
-    candidate of cardinality <= k has been scanned (or both sides found a
-    witness first), and found[0] / found[1] is the first (cardinality,
-    witness) of the plus / minus side, or None."""
+    """Both side searches of one stable (U, u, window), deepened on demand.
+    Each candidate gets one strip scan, whose verdicts[i] decides side i.
+    Every candidate of cardinality <= k has been scanned (or both sides
+    found a witness first), and found[0] / found[1] is the first
+    (cardinality, witness) of the plus / minus side, or None."""
 
     def __init__(self, U: UpdateFamily, u: Direction, window: int):
         self.U, self.u, self.window = U, u, window
@@ -427,7 +429,7 @@ class _SideSearch:
                     raise SearchBudgetExceededError(
                         f"difficulty search for u={self.u} exceeded {CANDIDATE_CAP} candidates")
                 scan = strip_scan(self.u, Z, self.U)
-                for i, verdict in enumerate((scan.verdict_plus, scan.verdict_minus)):
+                for i, verdict in enumerate(scan.verdicts):
                     if found[i] is None and verdict is StripVerdict.INFINITE_LINE:
                         found[i] = (k, Z)
                 if None not in found:
@@ -440,38 +442,34 @@ def _side_search(U: UpdateFamily, u: Direction, window: int) -> _SideSearch:
     return _SideSearch(U, u, window)
 
 
-def difficulty_side(u: Direction, side: str, U: UpdateFamily, window: int = 8,
-                    max_cardinality: int = 4) -> DifficultyResult:
-    """Minimal cardinality of a set Z in the radius-``window`` box, disjoint
-    from H_u, such that the half-plane plus Z infects infinitely many sites
-    of the boundary ray on the given side ('plus' is rightward looking along
-    u)."""
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
-    if not U.hood:
-        raise EmptyFamilyError("difficulty of an empty family")
-    if not is_stable(u, U):
-        return DifficultyResult(0, window, frozenset(), 0)
-    search = _side_search(U, u, window)
-    search.deepen(max_cardinality)
-    hit = search.found[side == "minus"]
-    if hit is not None and hit[0] <= max_cardinality:
-        return DifficultyResult(hit[0], window, hit[1], hit[0])
-    return DifficultyResult(INFINITE_WITHIN_WINDOW, window, None, max_cardinality)
-
-
 def difficulty(u: Direction, U: UpdateFamily, window: int = 8,
                max_cardinality: int = 4) -> DifficultyResult:
-    """Difficulty of the direction u: the minimum of the two side values when
+    """Difficulty of the direction u and its two side values, searched up to
+    ``max_cardinality`` in the radius-``window`` box.
+
+    The plus (minus) value is the minimal cardinality of a set Z in the box,
+    disjoint from H_u, such that the half-plane plus Z infects infinitely
+    many sites of the boundary ray on the plus (minus) side, plus being
+    rightward looking along u; both are 0 for an unstable u.  They are the
+    result's ``plus`` and ``minus``, and its value is their minimum when
     both are finite, INFINITE_WITHIN_WINDOW otherwise."""
-    p = difficulty_side(u, "plus", U, window, max_cardinality)
-    m = difficulty_side(u, "minus", U, window, max_cardinality)
+    if not U.hood:
+        raise EmptyFamilyError("difficulty of an empty family")
+    if is_stable(u, U):
+        search = _side_search(U, u, window)
+        search.deepen(max_cardinality)
+        found = search.found
+    else:
+        found = [(0, frozenset())] * 2
+    p, m = (DifficultyResult(hit[0], window, hit[1], hit[0])
+            if hit is not None and hit[0] <= max_cardinality
+            else DifficultyResult(INFINITE_WITHIN_WINDOW, window, None, max_cardinality)
+            for hit in found)
+    searched = max(p.searched_cardinality, m.searched_cardinality)
     if p.resolved and m.resolved:
         best = p if p.value <= m.value else m
-        return DifficultyResult(best.value, window, best.witness,
-                                max(p.searched_cardinality, m.searched_cardinality), p, m)
-    return DifficultyResult(INFINITE_WITHIN_WINDOW, window, None,
-                            max(p.searched_cardinality, m.searched_cardinality), p, m)
+        return DifficultyResult(best.value, window, best.witness, searched, p, m)
+    return DifficultyResult(INFINITE_WITHIN_WINDOW, window, None, searched, p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +523,6 @@ def _sweep_candidates(S: StableSet) -> list[Direction]:
     return sort_directions(out)
 
 
-def _sides_below(U, u, threshold, window) -> tuple[DifficultyResult, DifficultyResult]:
-    """Plus and minus searches for a witness of cardinality below threshold.
-    Within the window, alpha(u) >= threshold unless both sides resolve, and
-    both side difficulties are >= threshold when neither does."""
-    return (difficulty_side(u, "plus", U, window, threshold - 1),
-            difficulty_side(u, "minus", U, window, threshold - 1))
-
-
 def _gap_is_wide(p: Direction, q: Direction) -> bool:
     """ccw gap from p to q is at least pi."""
     return ccw_key(p, q) >= Direction(-1, 0).angle_key()
@@ -548,11 +538,13 @@ def _select_balanced_directions(U, S, alpha, window) -> list[Direction]:
             chosen.add(d)
     arcs = S.arcs()
     chosen.update(direction_between(*a) for a in arcs)
-    # endpoints qualify only if both sides check out
+    # endpoints qualify only if both sides check out: neither side resolves
+    # below alpha
     for d in S.endpoint_directions():
         if d in chosen:
             continue
-        if not any(r.resolved for r in _sides_below(U, d, alpha, window)):
+        r = difficulty(d, U, window, alpha - 1)
+        if not (r.plus.resolved or r.minus.resolved):
             chosen.add(d)
 
     for _ in range(200):
@@ -670,72 +662,47 @@ def classify(U: UpdateFamily, window: int = 8, max_cardinality: int = 4) -> Clas
         ustar = d.neg()
         if not (S.contains(ustar) and S.contains(d)):
             continue
-        star_sides = _sides_below(U, ustar, alpha + 1, window)
-        anti_sides = _sides_below(U, d, alpha + 1, window)
+        ends = (difficulty(ustar, U, window, alpha), difficulty(d, U, window, alpha))
         # difficulty >= alpha + 1 at both ends: neither has both sides resolved
-        if not all(r.resolved for r in star_sides) and not all(r.resolved for r in anti_sides):
-            pick = (d, pts, star_sides, anti_sides)
+        if not any(r.resolved for r in ends):
+            pick = (d, pts, ends)
             break
     if pick is None:
         raise DifficultyWindowExhaustedError(
             "unbalanced family but no antipodal stable pair certified above alpha")
-    d, pts, star_sides, anti_sides = pick
+    d, pts, ends = pick
     ustar = d.neg()
     cls.u_star = ustar
-
-    drift = False
-    for (p, m) in (star_sides, anti_sides):
-        if p.resolved != m.resolved:
-            drift = True
-    cls.drift = drift
+    cls.drift = any(r.plus.resolved != r.minus.resolved for r in ends)
 
     # u^l / u^r: the attaining direction, whose smaller side difficulty is
-    # exactly alpha, anchors one side; the other side takes any stable
-    # direction certified >= alpha, preferring one close to the
-    # perpendicular of u*
+    # exactly alpha, anchors one side of u*; the other side (sign +1 is left
+    # of u*) takes any stable direction certified >= alpha, preferring one
+    # close to the perpendicular of u* on that side
     att = max(pts, key=lambda p: (diffs[p].value, p.angle_key()))
-    att_side = 1 if cross(ustar, att) > 0 else -1
-
-    def side_pool(sign: int) -> list[Direction]:
-        pool = []
-        for e in S.isolated_points():
+    sign = -1 if cross(ustar, att) > 0 else 1
+    pool = []
+    for e in S.isolated_points():
+        if cross(ustar, e) * sign > 0:
+            r = diffs.get(e) or difficulty(e, U, window, alpha)
+            diffs.setdefault(e, r)
+            if (not r.resolved) or r.value >= alpha:
+                pool.append(e)
+    for start, end in S.arcs():
+        s = direction_between(start, end)
+        if cross(ustar, s) * sign > 0:
+            pool.append(s)
+        for e in (start, end):
             if cross(ustar, e) * sign > 0:
-                r = diffs.get(e) or difficulty(e, U, window, alpha)
-                diffs.setdefault(e, r)
-                if (not r.resolved) or r.value >= alpha:
+                r = difficulty(e, U, window, alpha - 1)
+                if not (r.plus.resolved or r.minus.resolved):
                     pool.append(e)
-        for start, end in S.arcs():
-            s = direction_between(start, end)
-            if cross(ustar, s) * sign > 0:
-                pool.append(s)
-            for e in (start, end):
-                if cross(ustar, e) * sign > 0 and not any(
-                        r.resolved for r in _sides_below(U, e, alpha, window)):
-                    pool.append(e)
-        return pool
-
-    perp_right = ustar.perp().neg()
-
-    def closest_to(target: Direction, pool: Sequence[Direction]) -> Direction:
-        def dist_key(e):
-            k1, k2 = ccw_key(target, e), ccw_key(e, target)
-            return (min(k1, k2), e.angle_key())
-        return min(pool, key=dist_key)
-
-    if att_side > 0:
-        u_l = att
-        pool = side_pool(-1)
-        if not pool:
-            raise DifficultyWindowExhaustedError("no stable direction right of u*")
-        u_r = closest_to(perp_right, pool)
-    else:
-        u_r = att
-        pool = side_pool(+1)
-        if not pool:
-            raise DifficultyWindowExhaustedError("no stable direction left of u*")
-        u_l = closest_to(perp_right.neg(), pool)
-
-    cls.droplet_directions = tuple(sort_directions([ustar, ustar.neg(), u_l, u_r]))
+    if not pool:
+        raise DifficultyWindowExhaustedError(
+            f"no stable direction {'left' if sign > 0 else 'right'} of u*")
+    target = ustar.perp() if sign > 0 else ustar.perp().neg()
+    other = min(pool, key=lambda e: (min(ccw_key(target, e), ccw_key(e, target)), e.angle_key()))
+    cls.droplet_directions = tuple(sort_directions([ustar, ustar.neg(), att, other]))
     return cls
 
 
@@ -781,7 +748,7 @@ def rho_bound(U: UpdateFamily, directions: Sequence[Direction], alpha: int,
         candidates = [frozenset()] if k == 0 else _canonical_witnesses(u, window, k)
         for Z in candidates:
             scan = strip_scan(u, Z, U)
-            if scan.period_plus is not None or scan.period_minus is not None:
+            if scan.periods != (None, None):
                 raise StripHeightExceededError(
                     f"H_{u} plus {set(Z)} marches along the strip "
                     f"(a side of {u} easier than alpha?)")
@@ -827,11 +794,10 @@ def iceberg_u0(U: UpdateFamily, u_star: Direction, S: StableSet,
     faces perpendicular to u0, u* and the base direction are closed next to
     the half-plane.
     """
-    p = difficulty_side(u_star, "plus", U, window, max_cardinality)
-    m = difficulty_side(u_star, "minus", U, window, max_cardinality)
-    if p.resolved == m.resolved:
+    r = difficulty(u_star, U, window, max_cardinality)
+    if r.plus.resolved == r.minus.resolved:
         raise NoDriftDirectionError(
-            f"side difficulties of {u_star} are {p.value} and {m.value}; no drift")
+            f"side difficulties of {u_star} are {r.plus.value} and {r.minus.value}; no drift")
     comp = next(((start, end) for start, end in S.arcs()
                  if u_star in (start, end) or strictly_between(start, end, u_star)), None)
     if comp is None:

@@ -9,11 +9,12 @@ lookups and one memo read per candidate site, however many rules the family
 has.  ``closure`` runs the kernel in a box with a blocked boundary, and
 ``strip_scan``, the only engine next to an infected half-plane, runs it in
 the strip next to H_u, column window by column window, with
-``_column_width`` read off N.  ``sweep`` is the one synchronous numpy step:
-it updates a core of a grid padded by the reach of N, evaluating the
-circuit over one contiguous plane per offset of N.  A grid of unsigned
-integers packs one trial per bit (bit j of every cell is trial j's field),
-and the circuit's ANDs and ORs step every trial in one pass.  The torus pads
+``_column_width`` read off N, and decides both sides of the boundary line
+in one scan, as the pair (plus, minus).  ``sweep`` is the one synchronous
+numpy step: it updates a core of a grid padded by the reach of N,
+evaluating the circuit over one contiguous plane per offset of N.  A grid
+of unsigned integers packs one trial per bit (bit j of every cell is trial
+j's field), and the circuit's ANDs and ORs step every trial in one pass.  The torus pads
 once and copies only its halo strips from the core after each sweep,
 ``infection_time`` zero-pads and ``sample_tau`` sweeps only the origin's
 light cone.  ``closure_rescan`` stays a naive full-rescan
@@ -310,12 +311,15 @@ class StripUnresolvedError(RuntimeError):
 
 @dataclass
 class StripScan:
-    verdict_plus: StripVerdict
-    verdict_minus: StripVerdict
+    """One scan's verdicts on both sides of the boundary line.  Index 0 is
+    the plus side (rightward looking along u) and index 1 the minus side;
+    ``periods[i]`` is (first column j0, period r) when side i marches, and
+    None when it stalls."""
+
+    verdicts: tuple[StripVerdict, StripVerdict]
     infected: set[Site]
     col_width: int
-    period_plus: Optional[tuple[int, int]]  # (first column j0, period r)
-    period_minus: Optional[tuple[int, int]]
+    periods: tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]
 
 
 def is_stable(u: Direction, U) -> bool:
@@ -333,10 +337,12 @@ def _column_width(u: Direction, U) -> Optional[int]:
 
 
 def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
-    """Simulate [H_u ∪ Z] next to the boundary line and resolve, for each
-    horizontal direction, whether the infection marches forever (detected by
-    a repeated column state, then re-verified three periods forward) or dies
-    out.
+    """Simulate [H_u ∪ Z] next to the boundary line and resolve both of its
+    sides in one scan, plus (index 0, rightward looking along u) and minus
+    (index 1): whether the infection marches forever along that side
+    (detected by a repeated column state, then re-verified three periods
+    forward) or dies out.  One loop serves both sides, each with its sign
+    along the line.
 
     For a stable u no site of the closure rises above the highest line of
     Z, so the scan runs on the lines 0..max line(Z), column window by column
@@ -352,8 +358,7 @@ def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
     W = _column_width(u, U)
     if W is None:
         # the half-plane alone fills everything
-        return StripScan(StripVerdict.INFINITE_LINE, StripVerdict.INFINITE_LINE,
-                         set(Z), 1, (0, 1), (0, 1))
+        return StripScan((StripVerdict.INFINITE_LINE,) * 2, set(Z), 1, ((0, 1),) * 2)
 
     top = max(map(idx, Z), default=-1) + 1
 
@@ -415,45 +420,26 @@ def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
 
     run_fixpoint(list(Z))
     prev = None
-    period_plus = period_minus = None
-    verdict_plus = verdict_minus = None
+    verdicts: list = [None, None]
+    periods: list = [None, None]
 
     while True:
-        fp, fm = fronts
-        plus_stalled = fp <= C - 2 * W
-        minus_stalled = fm >= -(C - 2 * W)
-        snap = None if (plus_stalled and minus_stalled) else snapshot()
+        stalled = (fronts[0] <= C - 2 * W, fronts[1] >= -(C - 2 * W))
+        snap = None if all(stalled) else snapshot()
+        for side, sign in enumerate((1, -1)):
+            if verdicts[side] is not None or stalled[side]:
+                continue
+            periods[side] = find_period(snap, prev, sign)
+            if periods[side] is not None:
+                j0, r = periods[side]
+                lo = j0 if sign > 0 else j0 - r + 1  # the period's leftmost column
+                occupied = any(idx(s) == 0 and lo * W <= cpos(s) < (lo + r) * W for s in infected)
+                verdicts[side] = StripVerdict.INFINITE_LINE if occupied else StripVerdict.FINITE_LINE
 
-        if plus_stalled and minus_stalled:
-            verdict_plus = verdict_plus or StripVerdict.FINITE_LINE
-            verdict_minus = verdict_minus or StripVerdict.FINITE_LINE
-            break
-
-        if verdict_plus is None and not plus_stalled:
-            period_plus = find_period(snap, prev, +1)
-            if period_plus is not None:
-                j0, r = period_plus
-                occupied = any(
-                    idx(s) == 0 and j0 * W <= cpos(s) < (j0 + r) * W for s in infected
-                )
-                verdict_plus = StripVerdict.INFINITE_LINE if occupied else StripVerdict.FINITE_LINE
-        if verdict_minus is None and not minus_stalled:
-            period_minus = find_period(snap, prev, -1)
-            if period_minus is not None:
-                j0, r = period_minus
-                occupied = any(
-                    idx(s) == 0 and (j0 - r + 1) * W <= cpos(s) < (j0 + 1) * W for s in infected
-                )
-                verdict_minus = StripVerdict.INFINITE_LINE if occupied else StripVerdict.FINITE_LINE
-
-        plus_done = verdict_plus is not None or plus_stalled
-        minus_done = verdict_minus is not None or minus_stalled
-        if plus_done and minus_done:
+        if all(v is not None or stall for v, stall in zip(verdicts, stalled)):
             # a stalled side may still grow while the other marches; keep
             # going until the marching side's period is confirmed, then the
             # stalled side's tail is exact by the adjacency argument
-            verdict_plus = verdict_plus or StripVerdict.FINITE_LINE
-            verdict_minus = verdict_minus or StripVerdict.FINITE_LINE
             break
 
         prev = snap
@@ -464,4 +450,5 @@ def strip_scan(u: Direction, Z: Iterable[Site], U) -> StripScan:
         edge = [s for s in infected if abs(cpos(s)) >= C // 2 - 2 * W]
         run_fixpoint(edge)
 
-    return StripScan(verdict_plus, verdict_minus, infected, W, period_plus, period_minus)
+    return StripScan(tuple(v or StripVerdict.FINITE_LINE for v in verdicts), infected, W,
+                     tuple(periods))

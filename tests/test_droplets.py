@@ -433,7 +433,7 @@ class TestIceberg:
         for p in res.pieces:
             sites |= p.sites()
         scan = strip_scan(u, sites, DUARTE)
-        assert scan.period_plus is None and scan.period_minus is None
+        assert scan.periods == (None, None)
         assert scan.infected == sites
 
     def test_terminal_no_step_applies(self):

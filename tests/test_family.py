@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -25,7 +26,6 @@ from ubootstrap.family import (
     UpdateFamily,
     classify,
     difficulty,
-    difficulty_side,
     iceberg_u0,
     is_stable,
     kappa,
@@ -70,6 +70,9 @@ def _compose(m, n):
 UNIMODULAR = st.lists(st.sampled_from([(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1),
                                        (-1, 0, 0, 1), (0, 1, 1, 0)]),
                       max_size=4).map(lambda ms: functools.reduce(_compose, ms, (1, 0, 0, 1)))
+# the 8 symmetries of the square lattice: 4 rotations, then 4 reflections
+SYMMETRIES = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+              (-1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, -1, -1, 0)]
 
 
 def sample_directions(count):
@@ -101,7 +104,7 @@ def cuts_by_rules(U, *extra):
 def voracious(Z, u, U):
     """H_u plus Z infects infinitely many sites of the boundary line."""
     scan = strip_scan(u, Z, U)
-    return StripVerdict.INFINITE_LINE in (scan.verdict_plus, scan.verdict_minus)
+    return StripVerdict.INFINITE_LINE in scan.verdicts
 
 
 def canonical_translate(Z, u):
@@ -141,7 +144,7 @@ class TestFamilyBasics:
             with pytest.raises(EmptyFamilyError):
                 fn(U)
         with pytest.raises(EmptyFamilyError):
-            difficulty_side(E1, "plus", U)
+            difficulty(E1, U)
 
     def test_rules_deduplicated(self):
         U = UpdateFamily.of([[(1, 0), (0, 1)], [(0, 1), (1, 0)]])
@@ -322,26 +325,26 @@ class TestDifficulty:
     def test_duarte_minus_exhaustive_window6(self):
         # exhaustive over |Z| <= 3 in the radius-6 box; the size-4 sweep is
         # exercised at a smaller radius to keep the suite quick
-        r = difficulty_side(E2, "minus", DUARTE, window=6, max_cardinality=3)
+        r = difficulty(E2, DUARTE, window=6, max_cardinality=3).minus
         assert r.value is INFINITE_WITHIN_WINDOW
-        r4 = difficulty_side(E2, "minus", DUARTE, window=3, max_cardinality=4)
+        r4 = difficulty(E2, DUARTE, window=3, max_cardinality=4).minus
         assert r4.value is INFINITE_WITHIN_WINDOW
 
     def test_duarte_side_certificates(self):
         # at u = (0, 1) the plus side resolves at 1 and the minus side does
         # not: alpha(u) >= 2 holds, but not both sides are >= 2
-        from ubootstrap.family import _sides_below
-        p, m = _sides_below(DUARTE, E2, 2, 8)
+        r = difficulty(E2, DUARTE, 8, 1)
+        p, m = r.plus, r.minus
         assert p.resolved and p.value == 1
         assert not m.resolved
-        assert not all(r.resolved for r in (p, m))
-        assert any(r.resolved for r in (p, m))
+        assert not r.resolved
+        assert any(side.resolved for side in (p, m))
 
     def test_candidate_cap_raises_typed_error(self, monkeypatch):
         # a window no other test uses: difficulty searches are cached
         monkeypatch.setattr(family, "CANDIDATE_CAP", 3)
         with pytest.raises(SearchBudgetExceededError):
-            difficulty_side(E1, "plus", builtin("gg-two"), window=7, max_cardinality=2)
+            difficulty(E1, builtin("gg-two"), window=7, max_cardinality=2)
 
     def test_each_candidate_scanned_once(self, monkeypatch):
         # one strip scan decides both sides, and deepening the search
@@ -380,16 +383,16 @@ class TestDifficulty:
             for k in range(1, cap + 1):
                 for Z in helper_sets(sites, u, k):
                     scan = strip_scan(u, Z, U)
-                    if getattr(scan, "verdict_" + side) is StripVerdict.INFINITE_LINE:
+                    if scan.verdicts[side] is StripVerdict.INFINITE_LINE:
                         return k
             return INFINITE_WITHIN_WINDOW
 
-        for side in ("plus", "minus"):
-            r = difficulty_side(u, side, U, window, cap)
+        d = difficulty(u, U, window, cap)
+        for side, r in enumerate((d.plus, d.minus)):
             assert r.value == oracle(side), side
             if r.resolved and r.value > 0:
                 scan = strip_scan(u, r.witness, U)
-                assert getattr(scan, "verdict_" + side) is StripVerdict.INFINITE_LINE
+                assert scan.verdicts[side] is StripVerdict.INFINITE_LINE
 
     @pytest.mark.parametrize("u,window,k", [
         (E1, 2, 1), (E2, 3, 2), (Direction(1, 1), 2, 2), (Direction(-1, 2), 3, 1),
@@ -410,7 +413,7 @@ class TestDifficulty:
     def test_positive_iff_stable(self):
         for U in (U2, DUARTE, VEH):
             for d in sample_directions(24):
-                r = difficulty_side(d, "plus", U, window=3, max_cardinality=1)
+                r = difficulty(d, U, window=3, max_cardinality=1).plus
                 if not is_stable(d, U):
                     assert r.value == 0
                 else:
@@ -484,15 +487,41 @@ class TestClassification:
 
     def test_symmetry_covariance(self):
         # kind, alpha and balancedness are invariant under the 8 symmetries
-        maps = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
-                (-1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, -1, -1, 0)]
         for name in ("duarte", "asym-balanced", "mixed-arc"):
             base = classify(builtin(name))
-            for m in maps:
+            for m in SYMMETRIES:
                 c = classify(builtin(name).transformed(m))
                 assert c.kind is base.kind
                 assert c.alpha == base.alpha
                 assert c.balanced == base.balanced
+
+    def test_classification_bytes_pinned(self):
+        # every field classify records, each difficulty with its sorted
+        # witness and both side results, and rho_bound over the droplet
+        # directions of the critical ones, for the corpus under the 8
+        # symmetries: a change meant to keep every output keeps this digest
+        def res(r):
+            if r is None:
+                return None
+            witness = None if r.witness is None else sorted(r.witness)
+            return (repr(r.value), r.window_radius, witness, r.searched_cardinality,
+                    res(r.plus), res(r.minus))
+
+        dump = []
+        for name in FAMILY_IDS:
+            for m in SYMMETRIES:
+                U = builtin(name).transformed(m)
+                c = classify(U)
+                diffs = sorted(c.difficulties.items(), key=lambda kv: kv[0].angle_key())
+                dump.append((name, m, c.kind.value, repr(c.stable), c.window, c.alpha, c.balanced,
+                             repr(c.u_star), repr(c.droplet_directions), c.drift,
+                             [(repr(u), res(r)) for u, r in diffs], repr(c.balanced_witness)))
+                if c.kind is Kind.CRITICAL:
+                    rb = rho_bound(U, c.droplet_directions, c.alpha)
+                    witness = None if rb.witness is None else sorted(rb.witness)
+                    dump.append((rb.value, repr(rb.witness_direction), witness, rb.witness_site))
+        digest = hashlib.sha256(repr(dump).encode()).hexdigest()
+        assert digest == "05882f6173c03263c9343e1e11109e70ee7abb954b9d58cd30812089d7f86064", digest
 
     @given(SMALL_FAMILIES, UNIMODULAR)
     @example(DUARTE, (0, -1, 1, 0))  # 90 degrees ccw
@@ -571,7 +600,7 @@ class TestVoracity:
             for u, res in classify(U).difficulties.items():
                 cases += [(U, u, side, r.witness)
                           for side, r in (("plus", res.plus), ("minus", res.minus)) if r.resolved]
-        veh = difficulty_side(E2, "plus", VEH, window=5, max_cardinality=2)
+        veh = difficulty(E2, VEH, window=5, max_cardinality=2).plus
         cases.append((VEH, E2, "plus", veh.witness))
         assert len(cases) == 37
 
@@ -677,7 +706,7 @@ class TestIcebergU0:
             # the construction must be looked at in full: no vertex beyond the box
             assert all(-70 < x < 70 and -15 < y < 15 for x, y in tri)
             scan = strip_scan(u, tri, U)
-            assert scan.period_plus is None and scan.period_minus is None, U.name
+            assert scan.periods == (None, None), U.name
             assert scan.infected == tri, U.name
 
     def test_no_drift_family(self):

@@ -35,6 +35,11 @@ SMALL_FAMILIES = st.lists(st.lists(st.sampled_from(OFFSETS), min_size=1, max_siz
 HALF_DIRECTIONS = [E1, E2, Direction(-1, 0), Direction(0, -1), Direction(1, 1), Direction(1, -2),
                    Direction(-1, 2), Direction(2, 1)]
 HALF_CELLS = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+# each u with the reflection across its axis, as (m0, m1, m2, m3): it fixes
+# u and H_u and swaps the two sides of the boundary line
+MIRRORS = [(E2, (-1, 0, 0, 1)), (Direction(0, -1), (-1, 0, 0, 1)), (E1, (1, 0, 0, -1)),
+           (Direction(-1, 0), (1, 0, 0, -1)), (Direction(1, 1), (0, 1, 1, 0)),
+           (Direction(1, -1), (0, -1, -1, 0))]
 
 
 class TestClosure:
@@ -173,7 +178,7 @@ class TestClosure:
         fam = UpdateFamily.of([[(0, -1), (0, -2), (2, 1)], [(0, -1), (0, -2), (-2, 1)],
                                [(-2, 0), (-1, 0), (0, -1)], [(1, 0), (2, 0), (0, -1)]])
         scan = strip_scan(E2, [(0, 1), (0, 2)], fam)
-        assert scan.period_plus is None and scan.period_minus is None
+        assert scan.periods == (None, None)
         assert all(s[1] >= 0 for s in scan.infected)
         assert {(0, 0), (4, 0), (-4, 0)} <= scan.infected
 
@@ -250,18 +255,15 @@ class TestInfectionTime:
 class TestStripMachine:
     def test_two_neighbour_line_fills(self):
         scan = strip_scan(E1, [(0, 0)], U2)
-        assert scan.verdict_plus is StripVerdict.INFINITE_LINE
-        assert scan.verdict_minus is StripVerdict.INFINITE_LINE
+        assert scan.verdicts == (StripVerdict.INFINITE_LINE, StripVerdict.INFINITE_LINE)
 
     def test_stable_halfplane_closed(self):
         scan = strip_scan(E1, [], U2)
-        assert scan.verdict_plus is StripVerdict.FINITE_LINE
-        assert scan.verdict_minus is StripVerdict.FINITE_LINE
+        assert scan.verdicts == (StripVerdict.FINITE_LINE, StripVerdict.FINITE_LINE)
 
     def test_duarte_one_way(self):
         scan = strip_scan(E2, [(0, 0)], DUARTE)
-        assert scan.verdict_plus is StripVerdict.INFINITE_LINE
-        assert scan.verdict_minus is StripVerdict.FINITE_LINE
+        assert scan.verdicts == (StripVerdict.INFINITE_LINE, StripVerdict.FINITE_LINE)
 
     def test_verdicts_stable_under_bigger_budgets(self, monkeypatch):
         for fam, u, Z in [
@@ -275,8 +277,7 @@ class TestStripMachine:
             with monkeypatch.context() as m:
                 m.setattr(lattice, "MAX_COLUMNS", 8192)
                 big = strip_scan(u, Z, fam)
-            assert small.verdict_plus == big.verdict_plus
-            assert small.verdict_minus == big.verdict_minus
+            assert small.verdicts == big.verdicts
 
     def test_column_budget_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(lattice, "MAX_COLUMNS", 4)
@@ -286,9 +287,9 @@ class TestStripMachine:
     def test_periodic_segment_repeats_forward(self):
         # semi-periodicity: the detected period's column pattern extends
         scan = strip_scan(E1, [(0, 0)], U2)
-        assert scan.verdict_plus is StripVerdict.INFINITE_LINE
-        assert scan.period_plus is not None
-        j0, r = scan.period_plus
+        assert scan.verdicts[0] is StripVerdict.INFINITE_LINE
+        assert scan.periods[0] is not None
+        j0, r = scan.periods[0]
         w = scan.col_width
         a, b = E1.a, E1.b
 
@@ -305,14 +306,12 @@ class TestStripMachine:
 
     def test_unstable_direction_is_trivially_infinite(self):
         scan = strip_scan(Direction(1, 1), [], U2)
-        assert scan.verdict_plus is StripVerdict.INFINITE_LINE
-        assert scan.verdict_minus is StripVerdict.INFINITE_LINE
+        assert scan.verdicts == (StripVerdict.INFINITE_LINE, StripVerdict.INFINITE_LINE)
 
     def test_high_witness_is_scanned(self):
         # a lone site far above the line leaves it finite on both sides
         scan = strip_scan(E2, [(0, 9)], DUARTE)
-        assert scan.verdict_plus is StripVerdict.FINITE_LINE
-        assert scan.verdict_minus is StripVerdict.FINITE_LINE
+        assert scan.verdicts == (StripVerdict.FINITE_LINE, StripVerdict.FINITE_LINE)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -343,13 +342,31 @@ class TestStripMachine:
         u = data.draw(st.sampled_from(stable))
         Z = {z for z in data.draw(st.lists(st.sampled_from(HALF_CELLS), max_size=4)) if u.dot(z) >= 0}
         scan = strip_scan(u, Z, fam)
-        assume(scan.period_plus is None and scan.period_minus is None)
+        assume(scan.periods == (None, None))
         xs = [s[0] for s in scan.infected] + [0]
         ys = [s[1] for s in scan.infected] + [0]
         box = Box(min(xs) - 3, min(ys) - 3, max(xs) + 4, max(ys) + 4)
         assert scan.infected == closure_rescan(Z, box, fam, HalfPlane(u, 0))
 
+    @given(SMALL_FAMILIES, st.sampled_from(MIRRORS), st.lists(st.sampled_from(HALF_CELLS), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_mirror_swaps_the_sides(self, fam, mirror, cells):
+        # the scan of the mirror image reads the plus side where the scan
+        # read the minus side.  A marching closure is cut off at the window
+        # the scan stopped at, and reflection does not map the columns its
+        # period search reads onto columns, so only a scan without a period
+        # is compared site by site
+        u, (m0, m1, m2, m3) = mirror
+        reflect = lambda s: (m0 * s[0] + m1 * s[1], m2 * s[0] + m3 * s[1])
+        Z = {z for z in cells if u.dot(z) >= 0}
+        scan = strip_scan(u, Z, fam)
+        seen = strip_scan(u, {reflect(z) for z in Z}, fam.transformed((m0, m1, m2, m3)))
+        assert seen.verdicts == scan.verdicts[::-1]
+        assert [p is None for p in seen.periods] == [p is None for p in scan.periods[::-1]]
+        if scan.periods == (None, None):
+            assert seen.infected == {reflect(s) for s in scan.infected}
+
     def test_range_two_rules_periodicity(self):
         # vertical growth jumps by two; the column machine must still settle
         fam = builtin("asym-balanced")
-        assert strip_scan(E1, [(0, 0)], fam).verdict_plus is StripVerdict.INFINITE_LINE
+        assert strip_scan(E1, [(0, 0)], fam).verdicts[0] is StripVerdict.INFINITE_LINE

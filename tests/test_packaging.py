@@ -1,6 +1,7 @@
 """The declared package metadata matches what the code imports and names."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -205,6 +206,33 @@ def test_an_iceberg_is_a_droplet():
     methods = [getattr(node, "name", ast.unparse(node)) for node in iceberg.body
                if not isinstance(node, ast.Expr)]
     assert methods == ["__repr__"], methods
+
+
+def test_one_side_pair():
+    # the two sides of a direction travel together as (plus, minus), from
+    # the strip scan up to the difficulty: no per-side entry point, side
+    # string or per-side name is left
+    family = importlib.import_module("ubootstrap.family")
+    lattice = importlib.import_module("ubootstrap.lattice")
+    assert not hasattr(family, "difficulty_side") and not hasattr(family, "_sides_below")
+    assert [f.name for f in dataclasses.fields(lattice.StripScan)] == [
+        "verdicts", "infected", "col_width", "periods"]
+    per_side = re.compile(r"(^|_)(plus|minus)_|_(plus|minus)$")
+    for name in ("lattice.py", "family.py"):
+        idents, strings = set(), set()
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+            if isinstance(node, ast.Name):
+                idents.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                idents.add(node.attr)
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+                idents.add(node.arg)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                idents.add(node.name)
+            elif isinstance(node, ast.Constant) and node.value in ("plus", "minus"):
+                strings.add(node.value)
+        assert not {i for i in idents if per_side.search(i)}, name
+        assert not strings, name
 
 
 # Names that nothing in src/ or perfbench/ calls, kept because a test uses
